@@ -3,9 +3,8 @@
 //! Expands a declarative [`um_bench::scenario::Scenario`] grid into its
 //! fully-specified point list, evaluates every point through the
 //! deterministic `UM_THREADS` worker pool (results are bit-identical at
-//! any value), prints the legacy-style text table, and — for grid
-//! scenarios — emits a `BENCH_*.json` document that passes
-//! `bench_validate`.
+//! any value), prints the text table, and — for grid scenarios — emits a
+//! `BENCH_*.json` document that passes `bench_validate`.
 //!
 //! ```text
 //! um-sweep                          # run the built-in sweep_default grid
@@ -29,19 +28,6 @@ fn usage() -> ! {
          [--dump-registry DIR]"
     );
     std::process::exit(2);
-}
-
-fn kind_label(s: &scenario::Scenario) -> &'static str {
-    match &s.kind {
-        scenario::ScenarioKind::Fig7 { .. } => "fig7",
-        scenario::ScenarioKind::Breakdown { .. } => "breakdown",
-        scenario::ScenarioKind::FaultTail { .. } => "fault-tail",
-        scenario::ScenarioKind::ClusterTail { .. } => "cluster-tail",
-        scenario::ScenarioKind::MachineCompare { .. } => "machine-compare",
-        scenario::ScenarioKind::Autoscale { .. } => "autoscale",
-        scenario::ScenarioKind::SrptAblation { .. } => "srpt-ablation",
-        scenario::ScenarioKind::Grid(_) => "grid",
-    }
 }
 
 /// One CSV cell: numbers exactly as benchjson renders them (so the CSV
@@ -105,7 +91,7 @@ fn main() {
             "--list" => {
                 for s in scenario::registry::all() {
                     let points = s.expand().expect("registry scenarios are valid").len();
-                    println!("{:<16} {:<12} {points} points", s.name, kind_label(&s));
+                    println!("{:<16} {:<12} {points} points", s.name, s.kind.tag());
                 }
                 return;
             }
@@ -145,14 +131,21 @@ fn main() {
         }),
         (None, None) => scenario::registry::sweep_default(),
     };
+    let wants_points = json_path.is_some() || csv_path.is_some();
+    if wants_points && !matches!(s.kind, scenario::ScenarioKind::Grid(_)) {
+        eprintln!(
+            "um-sweep: --json/--csv need a grid scenario; '{}' is {}",
+            s.name,
+            s.kind.tag()
+        );
+        usage();
+    }
     scenario::apply_env(&mut s);
     let out = scenario::run(&s).unwrap_or_else(|e| panic!("{}: {e}", s.name));
     print!("{}", out.text);
 
-    if json_path.is_some() || csv_path.is_some() {
-        let points = out
-            .points
-            .unwrap_or_else(|| panic!("{}: only grid scenarios emit benchjson points", s.name));
+    if wants_points {
+        let points = out.points.expect("grid scenarios emit benchjson points");
         if let Some(path) = json_path {
             let scale = match std::env::var("UM_SCALE").ok().as_deref() {
                 Some("quick") => "quick",

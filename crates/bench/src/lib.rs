@@ -1,9 +1,11 @@
 //! Shared plumbing for the figure/table regeneration binaries.
 //!
-//! Every binary regenerates one of the paper's tables or figures:
+//! Every binary regenerates one of the paper's tables or figures, and
+//! `um-sweep` regenerates the ones defined in [`scenario::registry`]:
 //!
 //! ```text
 //! cargo run --release -p um-bench --bin fig14
+//! cargo run --release -p um-bench --bin um-sweep -- fig7
 //! ```
 //!
 //! Binaries honour three environment variables:

@@ -1,22 +1,18 @@
 //! The declarative scenario layer: one serializable description of a
 //! whole experiment — machine, workload, fault plan, mitigation policy,
-//! cluster shape and scale — that expands into the exact same
-//! fully-specified config lists the figure binaries used to build
-//! inline.
+//! cluster shape and scale — that expands into a fully-specified config
+//! list.
 //!
 //! A [`Scenario`] round-trips through the zero-dependency
 //! [`crate::benchjson`] model (`to_json_text` / `from_json_text`), so
 //! experiments can be committed, diffed and replayed as data. The
-//! [`registry`] holds the named built-in scenarios behind the committed
-//! `results/` tables; the conformance tests assert that expanding a
-//! registry scenario reproduces the legacy inline construction
-//! field-for-field, and that [`run`] reproduces the committed text
-//! byte-for-byte.
+//! [`registry`] is the only definition of the named built-in scenarios
+//! behind the committed `results/` tables; `um-sweep <name>` runs one,
+//! and CI byte-diffs its text against the committed file.
 //!
 //! Every expansion derives per-point seeds from the scenario's master
-//! seed the same way the legacy drivers did, and every run goes through
-//! the deterministic sweep runner — results are bit-identical at any
-//! `UM_THREADS`.
+//! seed, and every run goes through the deterministic sweep runner —
+//! results are bit-identical at any `UM_THREADS`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -31,7 +27,7 @@ use um_workload::synthetic::SyntheticWorkload;
 use um_workload::ServiceTimeDist;
 use umanycore::cluster::ClusterNetConfig;
 use umanycore::experiments::cluster::ClusterScale;
-use umanycore::experiments::{motivation, parallel, Scale};
+use umanycore::experiments::{parallel, Scale};
 use umanycore::report::RunReport;
 use umanycore::system::ArrivalProcess;
 use umanycore::{
@@ -414,6 +410,22 @@ pub enum ScenarioKind {
     },
     /// The generic `um-sweep` grid.
     Grid(GridSpec),
+}
+
+impl ScenarioKind {
+    /// The kind's `type` tag in scenario JSON.
+    pub fn tag(&self) -> &'static str {
+        match self {
+            ScenarioKind::Fig7 { .. } => "fig7",
+            ScenarioKind::Breakdown { .. } => "breakdown",
+            ScenarioKind::FaultTail { .. } => "fault-tail",
+            ScenarioKind::ClusterTail { .. } => "cluster-tail",
+            ScenarioKind::MachineCompare { .. } => "machine-compare",
+            ScenarioKind::Autoscale { .. } => "autoscale",
+            ScenarioKind::SrptAblation { .. } => "srpt-ablation",
+            ScenarioKind::Grid(_) => "grid",
+        }
+    }
 }
 
 /// One self-contained experiment description.
@@ -913,9 +925,8 @@ impl Scenario {
     }
 
     /// Expands the scenario into its fully-specified point list, in the
-    /// committed-results row order. Per-point seed derivation matches
-    /// the legacy inline drivers exactly — the conformance tests pin
-    /// this field-for-field.
+    /// committed-results row order. Changing an expansion changes the
+    /// committed results, which CI byte-diffs.
     ///
     /// # Errors
     ///
@@ -926,21 +937,26 @@ impl Scenario {
         let mut points = Vec::new();
         match &self.kind {
             ScenarioKind::Fig7 { loads } => {
+                // Per load: the mesh with and without ICN contention,
+                // then the fat tree likewise. The four runs share the
+                // load's derived seed, so each normalization is paired.
                 for (li, &rps) in loads.iter().enumerate() {
-                    for &(icn, contention) in motivation::FIG7_VARIANTS.iter() {
-                        let mut machine = self.machine.build();
-                        machine.icn = icn;
-                        points.push(node_point(SimConfig {
-                            machine,
-                            workload: self.workload.build(),
-                            rps_per_server: rps,
-                            servers: scale.servers,
-                            horizon_us: scale.horizon_us,
-                            warmup_us: scale.warmup_us,
-                            seed: rng::derive_seed(scale.seed, li as u64),
-                            icn_contention: contention,
-                            ..SimConfig::default()
-                        }));
+                    for icn in [IcnKind::Mesh, IcnKind::FatTree] {
+                        for contention in [true, false] {
+                            let mut machine = self.machine.build();
+                            machine.icn = icn;
+                            points.push(node_point(SimConfig {
+                                machine,
+                                workload: self.workload.build(),
+                                rps_per_server: rps,
+                                servers: scale.servers,
+                                horizon_us: scale.horizon_us,
+                                warmup_us: scale.warmup_us,
+                                seed: rng::derive_seed(scale.seed, li as u64),
+                                icn_contention: contention,
+                                ..SimConfig::default()
+                            }));
+                        }
                     }
                 }
             }
@@ -1164,11 +1180,11 @@ impl PointReport {
     }
 }
 
-/// What a scenario run produces: the legacy text table (byte-identical
-/// to the converted binary's stdout) and, for grid scenarios, the flat
-/// benchjson point array.
+/// What a scenario run produces: the text table (what `um-sweep` prints
+/// and `results/` commits) and, for grid scenarios, the flat benchjson
+/// point array.
 pub struct ScenarioOutput {
-    /// The rendered table + prose, exactly as the binary prints it.
+    /// The rendered table + prose, exactly as `um-sweep` prints it.
     pub text: String,
     /// Grid scenarios: the benchjson `points` array (wrap it in the
     /// `BENCH_*.json` envelope with a `bench` name and `scale` label).
@@ -1250,18 +1266,19 @@ fn run_impl(
 }
 
 fn render_fig7(loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
-    let tails: Vec<f64> = reports.iter().map(|r| r.node().latency.p99).collect();
-    let rows = motivation::fig7_rows_from(loads, &tails);
     let mut out = header_text(
         "Figure 7",
         "Tail latency with ICN contention, normalized to the same system without\ncontention.",
     );
     let mut t = Table::with_columns(&["load", "2D mesh", "fat tree"]);
-    for r in &rows {
+    // Each load's four points, in expansion order: mesh contended,
+    // mesh contention-free, fat tree contended, fat tree contention-free.
+    for (&rps, runs) in loads.iter().zip(reports.chunks_exact(4)) {
+        let tail = |i: usize| runs[i].node().latency.p99;
         t.row(vec![
-            format!("{:.0}K-RPS", r.rps / 1000.0),
-            f2(r.mesh_norm_tail),
-            f2(r.fat_tree_norm_tail),
+            format!("{:.0}K-RPS", rps / 1000.0),
+            f2(tail(0) / tail(1)),
+            f2(tail(2) / tail(3)),
         ]);
     }
     out.push_str(&t.render());
@@ -1924,53 +1941,44 @@ fn named_machines_to_json(machines: &[NamedMachine]) -> Json {
 }
 
 fn kind_to_json(k: &ScenarioKind) -> Json {
-    match k {
-        ScenarioKind::Fig7 { loads } => obj(vec![
-            ("type", Json::Str("fig7".into())),
-            (
-                "loads",
-                Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-            ),
-        ]),
-        ScenarioKind::Breakdown { rps, machines } => obj(vec![
-            ("type", Json::Str("breakdown".into())),
+    let mut fields = vec![("type", Json::Str(k.tag().into()))];
+    fields.extend(match k {
+        ScenarioKind::Fig7 { loads } => vec![(
+            "loads",
+            Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
+        )],
+        ScenarioKind::Breakdown { rps, machines } => vec![
             ("rps", num_json(*rps)),
             ("machines", named_machines_to_json(machines)),
-        ]),
+        ],
         ScenarioKind::FaultTail {
             rps,
             drop_rates,
             retry_timeout_us,
-        } => obj(vec![
-            ("type", Json::Str("fault-tail".into())),
+        } => vec![
             ("rps", num_json(*rps)),
             (
                 "drop_rates",
                 Json::Arr(drop_rates.iter().map(|&p| num_json(p)).collect()),
             ),
             ("retry_timeout_us", num_json(*retry_timeout_us)),
-        ]),
-        ScenarioKind::ClusterTail { loads } => obj(vec![
-            ("type", Json::Str("cluster-tail".into())),
-            (
-                "loads",
-                Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-            ),
-        ]),
-        ScenarioKind::MachineCompare { loads, machines } => obj(vec![
-            ("type", Json::Str("machine-compare".into())),
+        ],
+        ScenarioKind::ClusterTail { loads } => vec![(
+            "loads",
+            Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
+        )],
+        ScenarioKind::MachineCompare { loads, machines } => vec![
             (
                 "loads",
                 Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
             ),
             ("machines", named_machines_to_json(machines)),
-        ]),
+        ],
         ScenarioKind::Autoscale {
             rps,
             horizon_factor,
             configs,
-        } => obj(vec![
-            ("type", Json::Str("autoscale".into())),
+        } => vec![
             ("rps", num_json(*rps)),
             ("horizon_factor", num_json(*horizon_factor)),
             (
@@ -1988,30 +1996,26 @@ fn kind_to_json(k: &ScenarioKind) -> Json {
                         .collect(),
                 ),
             ),
-        ]),
-        ScenarioKind::SrptAblation { workloads } => obj(vec![
-            ("type", Json::Str("srpt-ablation".into())),
-            (
-                "workloads",
-                Json::Arr(
-                    workloads
-                        .iter()
-                        .map(|w| {
-                            obj(vec![
-                                ("name", Json::Str(w.name.clone())),
-                                ("workload", workload_to_json(&w.workload)),
-                                (
-                                    "loads",
-                                    Json::Arr(w.loads.iter().map(|&l| num_json(l)).collect()),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
+        ],
+        ScenarioKind::SrptAblation { workloads } => vec![(
+            "workloads",
+            Json::Arr(
+                workloads
+                    .iter()
+                    .map(|w| {
+                        obj(vec![
+                            ("name", Json::Str(w.name.clone())),
+                            ("workload", workload_to_json(&w.workload)),
+                            (
+                                "loads",
+                                Json::Arr(w.loads.iter().map(|&l| num_json(l)).collect()),
+                            ),
+                        ])
+                    })
+                    .collect(),
             ),
-        ]),
-        ScenarioKind::Grid(g) => obj(vec![
-            ("type", Json::Str("grid".into())),
+        )],
+        ScenarioKind::Grid(g) => vec![
             (
                 "loads",
                 Json::Arr(g.loads.iter().map(|&l| num_json(l)).collect()),
@@ -2038,8 +2042,9 @@ fn kind_to_json(k: &ScenarioKind) -> Json {
                         .collect(),
                 ),
             ),
-        ]),
-    }
+        ],
+    });
+    obj(fields)
 }
 
 impl Scenario {
@@ -2667,9 +2672,13 @@ impl Scenario {
 /// The named built-in scenarios behind the committed `results/` tables.
 pub mod registry {
     use super::*;
-    use umanycore::experiments::{cluster, resilience};
 
-    /// Figure 7: ICN contention on the ScaleOut, mesh vs fat tree.
+    /// Figure 7: impact of on-package ICN contention on tail latency, 2D
+    /// mesh vs fat tree on the 1024-core ScaleOut, committed as
+    /// `results/fig7.txt`.
+    ///
+    /// Paper anchors: at 50K RPS contention inflates the tail 14.7x on
+    /// the mesh and 7.5x on the fat tree; the effect shrinks with load.
     pub fn fig7() -> Scenario {
         Scenario {
             name: "fig7".to_string(),
@@ -2690,8 +2699,18 @@ pub mod registry {
         }
     }
 
-    /// The measured per-component latency breakdown across the three
-    /// paper machines.
+    /// Where does request time go? The *measured* per-component latency
+    /// breakdown across the three paper machines, from the tracing
+    /// layer: every cycle of a root request's lifetime (its merged RPC
+    /// tree included) charged to exactly one component, with
+    /// conservation checked to the cycle. Committed as
+    /// `results/breakdown.txt`.
+    ///
+    /// Paper context: §3.2/Figure 3 (queueing), §4.4/Figure 6 (context
+    /// switching), §3.3/Table 1 (overhead sources). Components sum to
+    /// end-to-end latency exactly, so each row is a disjoint share of
+    /// the mean; a parent's blocked time is never counted on top of its
+    /// callees' lifetimes.
     pub fn breakdown() -> Scenario {
         Scenario {
             name: "breakdown".to_string(),
@@ -2721,7 +2740,15 @@ pub mod registry {
         }
     }
 
-    /// Tail vs message-loss rate, unmitigated vs timeout/retry.
+    /// Tail latency vs fault rate: the cost of losing messages, with and
+    /// without timeout/retry mitigation, committed as
+    /// `results/fault_tail.txt`.
+    ///
+    /// An unmitigated operation that loses a request or response leg
+    /// stalls until the default RPC timeout abandons it, so even
+    /// sub-percent loss rates poison the tail. Timeout +
+    /// exponential-backoff retry (with a retry budget) converts most
+    /// losses into one extra round trip.
     pub fn fault_tail() -> Scenario {
         Scenario {
             name: "fault_tail".to_string(),
@@ -2732,15 +2759,27 @@ pub mod registry {
             mitigation: MitigationSpec::default(),
             cluster: None,
             kind: ScenarioKind::FaultTail {
-                rps: resilience::RESILIENCE_RPS,
-                drop_rates: resilience::DROP_RATES.to_vec(),
+                // Moderate utilization, so latency shifts are
+                // attributable to the faults, not to saturation.
+                rps: 8_000.0,
+                drop_rates: vec![0.0, 0.005, 0.01, 0.02, 0.05],
                 retry_timeout_us: 1_500.0,
             },
         }
     }
 
-    /// Fleet tail by routing policy: the committed
-    /// `results/cluster_tail.txt` rack.
+    /// Fleet tail latency by load-balancer routing policy: a rack of
+    /// uManycore packages behind one front end, committed as
+    /// `results/cluster_tail.txt`.
+    ///
+    /// The paper's single-package story (hardware queues, village-local
+    /// dispatch) meets the classic serving-layer question: with N
+    /// packages behind a load balancer, how much fleet tail does the
+    /// *routing policy* cost on top of the package itself? The sweep
+    /// compares random, round-robin, JSQ(2) (power-of-two-choices) and
+    /// an idealized central queue across offered loads, with every hop
+    /// through the rack fabric charged to the cluster-hop breakdown
+    /// component.
     pub fn cluster_tail() -> Scenario {
         let full = ClusterScale::full();
         Scenario {
@@ -2763,13 +2802,19 @@ pub mod registry {
             mitigation: MitigationSpec::default(),
             cluster: Some(ClusterSpec {
                 nodes: full.nodes,
-                routing: cluster::POLICIES
-                    .iter()
-                    .map(|&(name, policy)| NamedRouting {
-                        name: name.to_string(),
-                        policy,
-                    })
-                    .collect(),
+                // Display order is the committed-results row order.
+                routing: [
+                    ("random", RoutingPolicy::Random),
+                    ("round-robin", RoutingPolicy::RoundRobin),
+                    ("jsq(2)", RoutingPolicy::JsqD { d: 2 }),
+                    ("central-queue", RoutingPolicy::CentralQueue),
+                ]
+                .into_iter()
+                .map(|(name, policy)| NamedRouting {
+                    name: name.to_string(),
+                    policy,
+                })
+                .collect(),
                 max_in_flight: None,
                 jitter: Some(JitterSpec {
                     mean_us: 0.5,
@@ -2781,8 +2826,14 @@ pub mod registry {
         }
     }
 
-    /// The abstract's headline experiment: 10-server clusters of the
-    /// four paper machines, committed as `results/cluster10.txt`.
+    /// The abstract's headline experiment: a cluster of 10 servers, each
+    /// with a 1024-core uManycore, against clusters of iso-power and
+    /// iso-area conventional multicores, committed as
+    /// `results/cluster10.txt`.
+    ///
+    /// Paper anchors: 3.7x lower average latency, 10.4x lower tail
+    /// latency, 15.5x higher throughput than the iso-power ServerClass
+    /// cluster (averages over the loads).
     pub fn cluster10() -> Scenario {
         Scenario {
             name: "cluster10".to_string(),
@@ -2821,6 +2872,13 @@ pub mod registry {
 
     /// Autoscaling under bursts: the snapshot memory pool in the request
     /// path, committed as `results/autoscale.txt`.
+    ///
+    /// §3.5/§4.1: when a burst overwhelms a service's village, the
+    /// system boots another instance elsewhere. With a snapshot in the
+    /// cluster pool the boot takes ~2 ms; without one it takes >300 ms —
+    /// during which the burst's requests pile up. This drives uManycore
+    /// with bursty (MMPP) arrivals and compares pool-backed and
+    /// cold-boot autoscaling against no autoscaling at all.
     pub fn autoscale() -> Scenario {
         Scenario {
             name: "autoscale".to_string(),
@@ -2863,8 +2921,15 @@ pub mod registry {
         }
     }
 
-    /// FCFS vs SRPT dequeue (paper §4.3), committed as
+    /// Ablation: FCFS vs SRPT dequeue (paper §4.3), committed as
     /// `results/ablation_srpt.txt`.
+    ///
+    /// The paper argues SRPT is unlikely to beat FCFS for microservices
+    /// because same-service requests have similar durations and frequent
+    /// I/O blocking already interleaves requests. This tests the claim on
+    /// the full system: the SocialNetwork mix (homogeneous per service)
+    /// and a heavy-tailed synthetic workload (where SRPT classically
+    /// shines).
     pub fn ablation_srpt() -> Scenario {
         Scenario {
             name: "ablation_srpt".to_string(),
@@ -2962,7 +3027,7 @@ pub mod registry {
 
 /// Applies `UM_SCALE`/`UM_SEED` to a scenario, mirroring
 /// [`crate::scale_from_env`] / [`crate::cluster_scale_from_env`] for the
-/// converted binaries.
+/// figure binaries.
 pub fn apply_env(s: &mut Scenario) {
     apply_scale_values(
         s,
@@ -2973,11 +3038,12 @@ pub fn apply_env(s: &mut Scenario) {
 
 /// [`apply_env`] with the environment values passed explicitly, for
 /// tests. `quick` shrinks horizons (and, for cluster-tail scenarios,
-/// the rack and load list) exactly the way the legacy env helpers did.
+/// the rack and load list) exactly the way the env helpers do.
 ///
 /// # Panics
 ///
-/// Panics when `seed` is set but not an integer (the legacy contract).
+/// Panics when `seed` is set but not an integer (the env helpers'
+/// contract).
 pub fn apply_scale_values(s: &mut Scenario, scale: Option<&str>, seed: Option<&str>) {
     if scale == Some("quick") {
         match &mut s.kind {
@@ -3098,25 +3164,6 @@ mod tests {
         // ...a cap past it is not.
         s.cluster.as_mut().expect("cluster spec").max_in_flight = Some(33);
         assert!(s.validate().is_err());
-    }
-
-    #[test]
-    fn fig7_expansion_matches_the_legacy_inline_driver() {
-        let mut s = registry::fig7();
-        apply_scale_values(&mut s, Some("quick"), None);
-        let loads = match &s.kind {
-            ScenarioKind::Fig7 { loads } => loads.clone(),
-            _ => unreachable!(),
-        };
-        let legacy = motivation::fig7_configs(Scale::quick(), &loads);
-        let expanded = s.expand().expect("valid scenario");
-        assert_eq!(expanded.len(), legacy.len());
-        for (p, l) in expanded.iter().zip(&legacy) {
-            assert_eq!(
-                format!("{:?}", p.as_node().expect("node point")),
-                format!("{l:?}")
-            );
-        }
     }
 
     #[test]

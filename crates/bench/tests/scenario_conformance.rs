@@ -1,219 +1,24 @@
-//! Conformance tests for the declarative scenario layer: every converted
-//! figure binary's registry scenario must expand to exactly the config
-//! list the legacy inline driver built, and the sweep runner must render
-//! byte-identical text at any `UM_THREADS`.
+//! Tests for the declarative scenario layer: the sweep runner must render
+//! byte-identical text at any `UM_THREADS`, the registry scenarios must
+//! keep their shapes at reduced scale, and unsafe or malformed requests
+//! must be refused before anything simulates.
 //!
-//! Expansion conformance compares `Debug` renderings field-for-field at
-//! quick scale (the same shape the full-scale committed results use —
-//! only horizons differ, and those come from the same [`Scale`] /
-//! [`ClusterScale`] values on both sides). Thread-identity runs use
-//! further-reduced horizons so the suite stays fast in debug builds; the
-//! determinism property being pinned does not depend on scale, and CI
-//! separately byte-diffs full-scale regenerations of every converted
-//! binary against the committed `results/` files.
+//! The registry is the only definition of its figures; CI byte-diffs a
+//! full-scale `um-sweep <name>` regeneration of each one against the
+//! committed `results/` file. Thread-identity runs use reduced horizons
+//! so the suite stays fast in debug builds; the determinism property
+//! being pinned does not depend on scale.
 
-use um_arch::config::MachineConfig;
 use um_bench::scenario::{self, registry, ScaleSpec, Scenario, ScenarioKind};
-use um_sched::DequeuePolicy;
-use um_workload::synthetic::SyntheticWorkload;
-use um_workload::ServiceTimeDist;
 use umanycore::experiments::cluster::ClusterScale;
-use umanycore::experiments::{cluster, motivation, resilience, Scale};
-use umanycore::system::ArrivalProcess;
-use umanycore::{SimConfig, Workload};
+use umanycore::experiments::Scale;
+use umanycore::{ClusterSim, SystemSim};
 
 /// Applies `UM_SCALE=quick` semantics without touching the environment
 /// (tests run in parallel; env mutation would race).
 fn quick(mut s: Scenario) -> Scenario {
     scenario::apply_scale_values(&mut s, Some("quick"), None);
     s
-}
-
-fn node_debugs(s: &Scenario) -> Vec<String> {
-    s.expand()
-        .expect("registry scenarios are valid")
-        .iter()
-        .map(|p| format!("{:?}", p.as_node().expect("single-node point")))
-        .collect()
-}
-
-// -----------------------------------------------------------------
-// Expansion conformance: registry scenario vs legacy inline driver
-// -----------------------------------------------------------------
-
-#[test]
-fn fig7_expands_to_the_legacy_config_list() {
-    let s = quick(registry::fig7());
-    let loads = match &s.kind {
-        ScenarioKind::Fig7 { loads } => loads.clone(),
-        other => panic!("fig7 registry scenario has kind {other:?}"),
-    };
-    let legacy: Vec<String> = motivation::fig7_configs(Scale::quick(), &loads)
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn fault_tail_expands_to_the_legacy_config_list() {
-    let s = quick(registry::fault_tail());
-    let legacy: Vec<String> = resilience::fault_tail_configs(Scale::quick())
-        .iter()
-        .map(|c| format!("{c:?}"))
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn breakdown_expands_to_the_legacy_config_list() {
-    let s = quick(registry::breakdown());
-    // The legacy binary called `run_machine_traced(machine, social_mix,
-    // 10_000.0, scale)` per machine, which built exactly this config.
-    let scale = Scale::quick();
-    let legacy: Vec<String> = [
-        MachineConfig::server_class_iso_power(),
-        MachineConfig::scaleout(),
-        MachineConfig::umanycore(),
-    ]
-    .into_iter()
-    .map(|machine| {
-        format!(
-            "{:?}",
-            SimConfig {
-                machine,
-                workload: Workload::social_mix(),
-                rps_per_server: 10_000.0,
-                servers: scale.servers,
-                horizon_us: scale.horizon_us,
-                warmup_us: scale.warmup_us,
-                seed: scale.seed,
-                trace: true,
-                ..SimConfig::default()
-            }
-        )
-    })
-    .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn cluster_tail_expands_to_the_legacy_config_list() {
-    let s = quick(registry::cluster_tail());
-    let points = s.expand().expect("registry scenarios are valid");
-    let ours: Vec<String> = points
-        .iter()
-        .map(|p| format!("{:?}", p.as_cluster().expect("cluster point")))
-        .collect();
-    let legacy: Vec<String> = cluster::cluster_tail_configs(&ClusterScale::quick())
-        .iter()
-        .map(|(_, _, c)| format!("{c:?}"))
-        .collect();
-    assert_eq!(ours, legacy);
-}
-
-#[test]
-fn cluster10_expands_to_the_legacy_config_list() {
-    let s = quick(registry::cluster10());
-    // The legacy binary set `scale.servers = 10` after `scale_from_env`
-    // and swept loads x the four paper machines, all on the master seed.
-    let scale = Scale {
-        servers: 10,
-        ..Scale::quick()
-    };
-    let legacy: Vec<String> = [5_000.0, 10_000.0, 15_000.0]
-        .iter()
-        .flat_map(|&rps| {
-            [
-                MachineConfig::server_class_iso_power(),
-                MachineConfig::server_class_iso_area(),
-                MachineConfig::scaleout(),
-                MachineConfig::umanycore(),
-            ]
-            .map(|machine| {
-                format!(
-                    "{:?}",
-                    SimConfig {
-                        machine,
-                        workload: Workload::social_mix(),
-                        rps_per_server: rps,
-                        servers: scale.servers,
-                        horizon_us: scale.horizon_us,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
-                        ..SimConfig::default()
-                    }
-                )
-            })
-        })
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn autoscale_expands_to_the_legacy_config_list() {
-    let s = quick(registry::autoscale());
-    let scale = Scale::quick();
-    let legacy: Vec<String> = [(false, true), (true, false), (true, true)]
-        .into_iter()
-        .map(|(autoscale, pool)| {
-            let mut machine = MachineConfig::umanycore();
-            machine.memory_pool = pool;
-            machine.rq_capacity = 8;
-            format!(
-                "{:?}",
-                SimConfig {
-                    machine,
-                    workload: Workload::social_mix(),
-                    rps_per_server: 160_000.0,
-                    servers: scale.servers,
-                    horizon_us: scale.horizon_us * 5.0,
-                    warmup_us: scale.warmup_us,
-                    seed: scale.seed,
-                    arrivals: ArrivalProcess::Bursty,
-                    autoscale,
-                    ..SimConfig::default()
-                }
-            )
-        })
-        .collect();
-    assert_eq!(node_debugs(&s), legacy);
-}
-
-#[test]
-fn ablation_srpt_expands_to_the_legacy_config_list() {
-    let s = quick(registry::ablation_srpt());
-    let scale = Scale::quick();
-    let heavy = Workload::Synthetic(SyntheticWorkload::new(
-        ServiceTimeDist::lognormal_with_mean(400.0, 9.0),
-        2,
-        6,
-    ));
-    let mut legacy = Vec::new();
-    for (workload, loads) in [
-        (Workload::social_mix(), [200_000.0, 1_200_000.0]),
-        (heavy, [200_000.0, 1_000_000.0]),
-    ] {
-        for rps in loads {
-            for policy in [DequeuePolicy::Fcfs, DequeuePolicy::Srpt] {
-                legacy.push(format!(
-                    "{:?}",
-                    SimConfig {
-                        machine: MachineConfig::umanycore(),
-                        workload: workload.clone(),
-                        rps_per_server: rps,
-                        servers: scale.servers,
-                        horizon_us: scale.horizon_us,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
-                        dequeue_policy: policy,
-                        ..SimConfig::default()
-                    }
-                ));
-            }
-        }
-    }
-    assert_eq!(node_debugs(&s), legacy);
 }
 
 // -----------------------------------------------------------------
@@ -312,6 +117,59 @@ fn sweep_grid_is_bit_identical_across_thread_counts() {
 }
 
 // -----------------------------------------------------------------
+// Shapes at reduced scale
+// -----------------------------------------------------------------
+
+#[test]
+fn fault_tail_points_fault_and_retry_where_expected() {
+    let mut s = registry::fault_tail();
+    s.scale.horizon_us = 15_000.0;
+    s.scale.warmup_us = 1_500.0;
+    let points = s.expand().expect("registry scenarios are valid");
+    let drop_rates = match &s.kind {
+        ScenarioKind::FaultTail { drop_rates, .. } => drop_rates.len(),
+        other => panic!("fault_tail registry scenario has kind {other:?}"),
+    };
+    assert_eq!(points.len(), 2 * drop_rates, "one pair per drop rate");
+    let reports: Vec<_> = points
+        .iter()
+        .map(|p| SystemSim::new(p.as_node().expect("node point").clone()).run())
+        .collect();
+    // Each pair is (unmitigated, retried). The zero-loss pair is
+    // fault-free in both columns.
+    assert_eq!(reports[0].faults.drops, 0);
+    assert_eq!(reports[1].faults.retries, 0);
+    // The heaviest-loss pair drops messages and the retried column
+    // actually retries.
+    let worst = &reports[reports.len() - 2..];
+    assert!(worst[0].faults.drops > 0);
+    assert!(worst[1].faults.retries > 0);
+    for r in &reports {
+        assert!(r.conservation.exact());
+    }
+}
+
+#[test]
+fn quick_cluster_tail_covers_the_policy_grid() {
+    let mut s = quick(registry::cluster_tail());
+    s.scale.horizon_us = 4_000.0;
+    s.scale.warmup_us = 400.0;
+    if let ScenarioKind::ClusterTail { loads } = &mut s.kind {
+        *loads = vec![10_000.0];
+    }
+    let c = s.cluster.as_mut().expect("cluster scenario");
+    c.nodes = 3;
+    let policies: Vec<String> = c.routing.iter().map(|r| r.name.clone()).collect();
+    let points = s.expand().expect("registry scenarios are valid");
+    assert_eq!(points.len(), policies.len(), "one row per policy");
+    for (p, policy) in points.iter().zip(&policies) {
+        let report = ClusterSim::new(p.as_cluster().expect("cluster point").clone()).run();
+        assert!(report.recorded > 0, "{policy}");
+        assert!(report.conservation.exact(), "{policy}");
+    }
+}
+
+// -----------------------------------------------------------------
 // Regression: the cluster RQ-deadlock guard refuses shallow racks
 // -----------------------------------------------------------------
 
@@ -344,6 +202,23 @@ fn shallow_rq_cluster_without_admission_cap_is_refused() {
     // One past the pigeonhole bound is refused again.
     s.cluster.as_mut().expect("cluster scenario").max_in_flight = Some(33);
     s.validate().expect_err("cap above rq/2 must be refused");
+}
+
+/// `--json`/`--csv` write grid points; a non-grid scenario has none, so
+/// um-sweep must refuse the flag before it simulates anything.
+#[test]
+fn um_sweep_refuses_point_output_for_non_grid_scenarios() {
+    for flag in ["--json", "--csv"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_um-sweep"))
+            .args(["fig7", flag, "no-such-dir/points"])
+            .env("UM_SCALE", "quick")
+            .output()
+            .expect("um-sweep starts");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
+        assert!(out.stdout.is_empty(), "{flag}: simulated before refusing");
+        assert!(err.contains("need a grid scenario"), "{flag}: {err}");
+    }
 }
 
 // -----------------------------------------------------------------

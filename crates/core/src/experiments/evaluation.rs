@@ -7,18 +7,13 @@ use crate::system::SimConfig;
 use crate::workload::Workload;
 use um_arch::config::{CoherenceDomain, IcnKind, MachineConfig, TopologyShape};
 use um_sched::CtxSwitchModel;
-use um_sim::{rng, Cycles};
+use um_sim::rng;
 use um_workload::apps::SocialNetwork;
 use um_workload::synthetic::SyntheticWorkload;
 use um_workload::ServiceId;
 
 /// The paper's three load levels, RPS per server (§5).
 pub const LOADS: [f64; 3] = [5_000.0, 10_000.0, 15_000.0];
-
-/// Display names of the eight applications, Figure 14 order.
-pub fn app_names() -> Vec<&'static str> {
-    SocialNetwork::new().iter().map(|p| p.name).collect()
-}
 
 /// The three machines in figure order.
 pub fn machines() -> [(&'static str, MachineConfig); 3] {
@@ -265,33 +260,6 @@ pub struct Fig18Row {
     pub umanycore: QosResult,
 }
 
-/// Runs the QoS throughput search for one app.
-pub fn fig18_row(root: ServiceId, scale: Scale, hi_rps: f64) -> Fig18Row {
-    let apps = SocialNetwork::new();
-    let name = apps.profile(root).name;
-    // One sequential binary search per machine, the three searches in
-    // parallel; all share the seed so the bars are paired.
-    let bases: Vec<SimConfig> = machines()
-        .map(|(_, machine)| SimConfig {
-            machine,
-            workload: Workload::social_app(root),
-            servers: scale.servers,
-            horizon_us: scale.horizon_us,
-            warmup_us: scale.warmup_us,
-            seed: scale.seed,
-            ..SimConfig::default()
-        })
-        .to_vec();
-    let results = qos::max_qos_throughput_many(bases, hi_rps / 512.0, hi_rps);
-    let [sc, so, um]: [QosResult; 3] = results.try_into().expect("three machines");
-    Fig18Row {
-        app: name,
-        server_class: sc,
-        scaleout: so,
-        umanycore: um,
-    }
-}
-
 /// Runs the QoS throughput search for all eight apps: 8 apps x 3
 /// machines, all 24 searches in parallel.
 ///
@@ -337,28 +305,6 @@ pub struct Fig19Row {
     pub app: &'static str,
     /// Normalized tails in `TopologyShape::FIG19_SWEEP` order.
     pub norm_tails: Vec<f64>,
-}
-
-/// Runs the Figure 19 shape sweep for one app.
-pub fn fig19_row(root: ServiceId, rps: f64, scale: Scale) -> Fig19Row {
-    let apps = SocialNetwork::new();
-    let name = apps.profile(root).name;
-    // Shapes share the seed: tails are normalized to the first shape, so
-    // every shape sees the same arrival draws.
-    let tails: Vec<f64> = parallel::map(TopologyShape::FIG19_SWEEP.to_vec(), |_, shape| {
-        run_machine(
-            MachineConfig::umanycore_shaped(shape),
-            Workload::social_app(root),
-            rps,
-            scale,
-        )
-        .latency
-        .p99
-    });
-    Fig19Row {
-        app: name,
-        norm_tails: tails.iter().map(|t| t / tails[0]).collect(),
-    }
 }
 
 /// Runs the Figure 19 shape sweep for all eight apps: 8 apps x
@@ -533,11 +479,4 @@ pub fn area_power_rows() -> Vec<AreaPowerRow> {
         power_w: m.power_watts(),
     })
     .collect()
-}
-
-/// A convenience for reports: converts a tail in cycles at the machine's
-/// frequency to microseconds (unused by drivers, which already report in
-/// microseconds, but handy for external tooling).
-pub fn cycles_to_us(machine: &MachineConfig, cycles: Cycles) -> f64 {
-    cycles.as_micros(machine.core.frequency)
 }

@@ -73,26 +73,3 @@ pub fn run_machine(
     })
     .run()
 }
-
-/// [`run_machine`] with per-component latency tracing enabled, for the
-/// measured-breakdown figures. Timing and randomness are identical to the
-/// untraced run (tracing is pure observation).
-pub fn run_machine_traced(
-    machine: MachineConfig,
-    workload: Workload,
-    rps_per_server: f64,
-    scale: Scale,
-) -> RunReport {
-    SystemSim::new(SimConfig {
-        machine,
-        workload,
-        rps_per_server,
-        servers: scale.servers,
-        horizon_us: scale.horizon_us,
-        warmup_us: scale.warmup_us,
-        seed: scale.seed,
-        trace: true,
-        ..SimConfig::default()
-    })
-    .run()
-}

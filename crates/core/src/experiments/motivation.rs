@@ -3,7 +3,7 @@
 use super::{parallel, Scale};
 use crate::system::{SimConfig, SystemSim};
 use crate::workload::Workload;
-use um_arch::config::{IcnKind, MachineConfig};
+use um_arch::config::MachineConfig;
 use um_arch::uarch_opt::{OptKind, StallBreakdown};
 use um_mem::footprint::{FootprintGenerator, FootprintProfile, SharingReport};
 use um_mem::hierarchy::{AccessKind, HierarchyConfig, MemoryHierarchy};
@@ -287,85 +287,6 @@ pub fn fig6_rows(scale: Scale, loads: &[f64]) -> Vec<Fig6Row> {
             norm_tail: tail / tails[li * FIG6_CS.len()],
         })
         .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 7: ICN contention impact
-// ---------------------------------------------------------------------
-
-/// One Figure 7 bar: tail latency with contention normalized to the same
-/// system without ICN contention.
-#[derive(Clone, Copy, Debug)]
-pub struct Fig7Row {
-    /// Load in RPS.
-    pub rps: f64,
-    /// Mesh tail, normalized to contention-free.
-    pub mesh_norm_tail: f64,
-    /// Fat-tree tail, normalized to contention-free.
-    pub fat_tree_norm_tail: f64,
-}
-
-/// The four runs per Figure 7 load: ICN kind × contention on/off, in
-/// committed-results point order.
-pub const FIG7_VARIANTS: [(IcnKind, bool); 4] = [
-    (IcnKind::Mesh, true),
-    (IcnKind::Mesh, false),
-    (IcnKind::FatTree, true),
-    (IcnKind::FatTree, false),
-];
-
-/// The fully-specified Figure 7 point list — [`FIG7_VARIANTS`] per load,
-/// loads outermost. Each load derives its own seed; the four runs at one
-/// load share it, so each normalization is paired.
-pub fn fig7_configs(scale: Scale, loads: &[f64]) -> Vec<SimConfig> {
-    loads
-        .iter()
-        .enumerate()
-        .flat_map(|(li, &rps)| {
-            FIG7_VARIANTS.iter().map(move |&(icn, contention)| {
-                let mut machine = MachineConfig::scaleout();
-                machine.icn = icn;
-                // ICN contention is the variable under study; scheduling
-                // and context-switch overheads are studied separately
-                // (Figures 3, 6).
-                machine.ctx_switch = CtxSwitchModel::Custom(0);
-                SimConfig {
-                    machine,
-                    workload: Workload::social_mix(),
-                    rps_per_server: rps,
-                    servers: scale.servers,
-                    horizon_us: scale.horizon_us,
-                    warmup_us: scale.warmup_us,
-                    seed: rng::derive_seed(scale.seed, li as u64),
-                    icn_contention: contention,
-                    ..SimConfig::default()
-                }
-            })
-        })
-        .collect()
-}
-
-/// Reduces the per-point p99 tails (in [`fig7_configs`] order) to the
-/// figure's paired normalizations.
-pub fn fig7_rows_from(loads: &[f64], tails: &[f64]) -> Vec<Fig7Row> {
-    loads
-        .iter()
-        .zip(tails.chunks_exact(FIG7_VARIANTS.len()))
-        .map(|(&rps, t)| Fig7Row {
-            rps,
-            mesh_norm_tail: t[0] / t[1],
-            fat_tree_norm_tail: t[2] / t[3],
-        })
-        .collect()
-}
-
-/// Runs the Figure 7 sweep on ScaleOut with mesh and fat-tree ICNs, all
-/// points in parallel.
-pub fn fig7_rows(scale: Scale, loads: &[f64]) -> Vec<Fig7Row> {
-    let tails = parallel::map(fig7_configs(scale, loads), |_, cfg| {
-        SystemSim::new(cfg).run().latency.p99
-    });
-    fig7_rows_from(loads, &tails)
 }
 
 // ---------------------------------------------------------------------

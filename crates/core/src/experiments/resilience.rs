@@ -1,9 +1,8 @@
 //! Resilience experiment drivers: fault injection and tail mitigation.
 //!
-//! Three sweeps, one per `um-bench` binary:
+//! Two sweeps, one per `um-bench` binary (the third resilience figure,
+//! tail vs message-loss rate, is the `fault_tail` registry scenario):
 //!
-//! - [`fault_tail_sweep`]: tail latency vs message-loss rate, with and
-//!   without timeout/retry — the "tail-vs-fault-rate" curve.
 //! - [`hedging_ablation`]: p99 with and without request hedging while one
 //!   core in every village runs fail-slow — the paper's straggler
 //!   scenario, and this repo's acceptance gate for the mitigation layer.
@@ -14,7 +13,7 @@
 //! plan derive from the sweep's master seed, so results are bit-identical
 //! at any `UM_THREADS`.
 
-use um_sched::{HedgeConfig, MitigationConfig, RetryConfig};
+use um_sched::{HedgeConfig, MitigationConfig};
 use um_sim::fault::{FaultPlan, FaultWindow};
 use um_sim::{rng, Cycles};
 
@@ -28,9 +27,6 @@ use um_arch::MachineConfig;
 /// moderate utilization so latency shifts are attributable to the faults,
 /// not to saturation.
 pub const RESILIENCE_RPS: f64 = 8_000.0;
-
-/// Message-drop probabilities swept by [`fault_tail_sweep`].
-pub const DROP_RATES: [f64; 5] = [0.0, 0.005, 0.01, 0.02, 0.05];
 
 /// Fail-slow slowdown factors swept by [`hedging_ablation`].
 pub const SLOWDOWNS: [f64; 4] = [2.0, 4.0, 6.0, 8.0];
@@ -53,61 +49,6 @@ fn base_config(scale: Scale, seed: u64) -> SimConfig {
 
 fn horizon_cycles(scale: Scale) -> Cycles {
     Cycles::from_micros(scale.horizon_us, MachineConfig::umanycore().core.frequency)
-}
-
-/// One fault-rate point: the same loss rate with and without mitigation.
-#[derive(Clone, Debug)]
-pub struct FaultTailRow {
-    /// Per-leg message-drop probability.
-    pub drop_p: f64,
-    /// No mitigation: operations that lose a message are abandoned at the
-    /// default RPC timeout.
-    pub baseline: RunReport,
-    /// Timeout + exponential-backoff retry with a retry budget.
-    pub mitigated: RunReport,
-}
-
-/// The fully-specified fault-tail point list: per drop rate, the
-/// unmitigated config then the retried one, both sharing the rate's
-/// derived seed (and the plan built from it), so each pair is paired.
-pub fn fault_tail_configs(scale: Scale) -> Vec<SimConfig> {
-    let mut configs = Vec::new();
-    for (i, &drop_p) in DROP_RATES.iter().enumerate() {
-        let seed = rng::derive_seed(scale.seed, i as u64);
-        let plan = if drop_p > 0.0 {
-            FaultPlan::builder(seed).message_drops(drop_p).build()
-        } else {
-            FaultPlan::none()
-        };
-        for mitigation in [
-            MitigationConfig::default(),
-            MitigationConfig {
-                retry: Some(RetryConfig::with_timeout_us(1_500.0)),
-                ..MitigationConfig::default()
-            },
-        ] {
-            configs.push(SimConfig {
-                fault_plan: plan.clone(),
-                mitigation,
-                ..base_config(scale, seed)
-            });
-        }
-    }
-    configs
-}
-
-/// Tail latency vs message-loss rate, unmitigated vs retried.
-pub fn fault_tail_sweep(scale: Scale) -> Vec<FaultTailRow> {
-    let reports = parallel::run_reports(fault_tail_configs(scale));
-    DROP_RATES
-        .iter()
-        .zip(reports.chunks_exact(2))
-        .map(|(&drop_p, pair)| FaultTailRow {
-            drop_p,
-            baseline: pair[0].clone(),
-            mitigated: pair[1].clone(),
-        })
-        .collect()
 }
 
 /// One straggler-severity point: fail-slow everywhere, hedging on vs off.
@@ -214,24 +155,6 @@ mod tests {
             warmup_us: 1_500.0,
             servers: 1,
             seed: 42,
-        }
-    }
-
-    #[test]
-    fn fault_tail_sweep_shapes() {
-        let rows = fault_tail_sweep(test_scale());
-        assert_eq!(rows.len(), DROP_RATES.len());
-        // The zero-loss point is fault-free in both columns.
-        assert_eq!(rows[0].baseline.faults.drops, 0);
-        assert_eq!(rows[0].mitigated.faults.retries, 0);
-        // The heaviest-loss point drops messages and the mitigated column
-        // actually retries.
-        let worst = rows.last().expect("nonempty sweep");
-        assert!(worst.baseline.faults.drops > 0);
-        assert!(worst.mitigated.faults.retries > 0);
-        for row in &rows {
-            assert!(row.baseline.conservation.exact());
-            assert!(row.mitigated.conservation.exact());
         }
     }
 

@@ -64,16 +64,3 @@ fn per_app_workloads_are_deterministic() {
     assert_eq!(a.latency.p99.to_bits(), b.latency.p99.to_bits());
     assert_eq!(a.completed, b.completed);
 }
-
-#[test]
-fn experiment_drivers_are_deterministic() {
-    use umanycore::experiments::{motivation, Scale};
-    let scale = Scale::quick();
-    let a = motivation::fig7_rows(scale, &[10_000.0]);
-    let b = motivation::fig7_rows(scale, &[10_000.0]);
-    assert_eq!(a[0].mesh_norm_tail.to_bits(), b[0].mesh_norm_tail.to_bits());
-    assert_eq!(
-        a[0].fat_tree_norm_tail.to_bits(),
-        b[0].fat_tree_norm_tail.to_bits()
-    );
-}

@@ -3,6 +3,7 @@
 //! scales. These span every crate in the workspace.
 
 use um_arch::MachineConfig;
+use um_bench::scenario::{self, registry, ScenarioKind};
 use um_workload::apps::SocialNetwork;
 use umanycore::experiments::{evaluation, motivation, Scale};
 use umanycore::{SimConfig, SystemSim, Workload};
@@ -133,22 +134,35 @@ fn context_switch_crossover() {
 /// least as much as the fat tree.
 #[test]
 fn icn_contention_inflates_tails() {
-    let scale = Scale {
-        horizon_us: 40_000.0,
-        warmup_us: 4_000.0,
-        ..quick()
+    let mut s = registry::fig7();
+    scenario::apply_scale_values(&mut s, Some("quick"), None);
+    s.scale.horizon_us = 40_000.0;
+    s.scale.warmup_us = 4_000.0;
+    s.kind = ScenarioKind::Fig7 {
+        loads: vec![50_000.0],
     };
-    let rows = motivation::fig7_rows(scale, &[50_000.0]);
-    let row = rows[0];
+    // Expansion order: mesh contended, mesh contention-free, fat tree
+    // contended, fat tree contention-free.
+    let tails: Vec<f64> = s
+        .expand()
+        .expect("valid scenario")
+        .iter()
+        .map(|p| {
+            SystemSim::new(p.as_node().expect("node point").clone())
+                .run()
+                .latency
+                .p99
+        })
+        .collect();
+    let mesh_norm_tail = tails[0] / tails[1];
+    let fat_tree_norm_tail = tails[2] / tails[3];
     assert!(
-        row.mesh_norm_tail > 2.0,
-        "mesh contention should inflate the 50K tail: {}",
-        row.mesh_norm_tail
+        mesh_norm_tail > 2.0,
+        "mesh contention should inflate the 50K tail: {mesh_norm_tail}"
     );
     assert!(
-        row.fat_tree_norm_tail > 1.5,
-        "fat-tree contention should inflate the 50K tail: {}",
-        row.fat_tree_norm_tail
+        fat_tree_norm_tail > 1.5,
+        "fat-tree contention should inflate the 50K tail: {fat_tree_norm_tail}"
     );
 }
 
