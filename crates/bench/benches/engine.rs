@@ -1,11 +1,13 @@
 //! Criterion benchmark of the event engine on the fig7 workload: the
 //! calendar-queue `EventQueue` against the `BinaryHeap` reference it
-//! replaced, along both axes the `BENCH_engine.json` emitter tracks.
+//! replaced, along two axes. This is the way to reproduce the
+//! calendar-vs-heap comparison (`cargo bench -p um-bench --bench engine`);
+//! the end-to-end benchmark's `sim.queue_ns_per_event` tracks the
+//! calendar queue alone.
 //!
 //! - **load**: full replays of the fig7 RPS axis at the committed
-//!   single-server scale (shorter horizon so the harness's many
-//!   iterations stay affordable; `bench_engine` replays the committed
-//!   200 ms).
+//!   single-server scale (a 20 ms horizon rather than the committed
+//!   200 ms, so the harness's many iterations stay affordable).
 //! - **fleet**: steady-state churn (pop one / reschedule one) against a
 //!   pre-built cluster-sweep backlog. Churn preserves the pending
 //!   population, so one queue serves every iteration; per-operation cost

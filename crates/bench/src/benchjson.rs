@@ -1,27 +1,22 @@
-//! The `BENCH_*.json` document model: one emitter, one parser, one
-//! schema check.
+//! The repo's JSON document model: one emitter, one parser, one schema
+//! check.
 //!
-//! The repo commits machine-readable perf trajectories
-//! (`BENCH_engine.json`, `BENCH_cluster.json`) next to the
-//! human-readable `results/` tables. The original emitter was inline
-//! string concatenation in `bench_engine`, which meant nothing checked
-//! that the committed files stayed parseable or that two benches agreed
-//! on the envelope. This module centralizes the format:
+//! Scenario documents, `um-sweep --json` point grids, the `um-serve`
+//! API, `um-tidy --json` reports and the end-to-end benchmark's output
+//! (`crates/bench/e2e`) all go through this module:
 //!
 //! - [`Json`] is a minimal ordered document model (objects preserve key
 //!   order, so emitted files are deterministic without sorted maps).
 //! - [`Json::render`] pretty-prints it; [`Json::parse`] reads it back.
-//!   Round-tripping is exact — see the module tests — so the committed
-//!   files cannot drift from what the emitter produces.
-//! - [`validate_bench`] enforces the shared envelope every
-//!   `BENCH_*.json` satisfies: a `bench` name, a `scale`, and a
-//!   non-empty homogeneous `points` array. CI validates both the
-//!   committed files and freshly generated ones via the
-//!   `bench_validate` binary.
+//!   Round-tripping is exact — see the module tests — so committed
+//!   documents cannot drift from what the emitter produces.
+//! - [`validate_bench`] enforces the point-grid envelope: a `bench`
+//!   name, a `scale`, and a non-empty homogeneous `points` array.
+//!   `um-sweep --json` checks every document it writes against it.
 //!
 //! The model is deliberately tiny (no serde in the dependency tree):
 //! numbers are `f64`, strings support the standard single-character
-//! escapes, and that is all the bench envelope needs.
+//! escapes, and that is all the envelope needs.
 
 /// One JSON value. Objects are ordered key/value lists, so equal
 /// documents render identically and rendering is deterministic.
@@ -385,7 +380,7 @@ impl Parser<'_> {
     }
 }
 
-/// Checks the shared `BENCH_*.json` envelope:
+/// Checks the shared point-grid envelope:
 ///
 /// - the document is an object with a non-empty string `bench` and a
 ///   `scale` of `"quick"` or `"full"`;
@@ -443,17 +438,6 @@ pub fn validate_bench(doc: &Json) -> Result<(), String> {
         }
     }
     Ok(())
-}
-
-/// Parses and validates one `BENCH_*.json` document.
-///
-/// # Errors
-///
-/// Returns the parse error or the first schema violation.
-pub fn validate_bench_str(text: &str) -> Result<Json, String> {
-    let doc = Json::parse(text)?;
-    validate_bench(&doc)?;
-    Ok(doc)
 }
 
 #[cfg(test)]
@@ -550,7 +534,7 @@ mod tests {
     fn validator_accepts_the_envelope() {
         assert_eq!(validate_bench(&sample()), Ok(()));
         let text = sample().render();
-        assert!(validate_bench_str(&text).is_ok());
+        assert_eq!(validate_bench(&Json::parse(&text).expect("parses")), Ok(()));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! fully-specified point list, evaluates every point through the
 //! deterministic `UM_THREADS` worker pool (results are bit-identical at
 //! any value), prints the text table, and — for grid scenarios — emits a
-//! `BENCH_*.json` document that passes `bench_validate`.
+//! benchjson document that passes `benchjson::validate_bench`.
 //!
 //! ```text
 //! um-sweep                          # run the built-in sweep_default grid

@@ -1,5 +1,6 @@
 //! The fig7-pattern event workload shared by the `engine` Criterion bench
-//! and the `bench_engine` emitter (`BENCH_engine.json`).
+//! (`cargo bench -p um-bench --bench engine`) and the end-to-end
+//! benchmark's `sim.queue_ns_per_event` layer metric.
 //!
 //! The workload replays the event-queue traffic a Figure 7 run generates,
 //! without the rest of the system simulator: every Poisson arrival over the
@@ -11,9 +12,9 @@
 //! `BinaryHeap` paid `O(log n)` per operation against the full backlog and
 //! the calendar queue pays `O(1)`.
 //!
-//! Both engines are driven through the same [`Engine`] trait so the bench
-//! and the emitter cannot accidentally measure different traffic, and every
-//! run returns a checksum that must agree across engines.
+//! Both engines are driven through the same [`Engine`] trait so every
+//! measurement replays the same traffic, and every run returns a checksum
+//! that must agree across engines.
 
 use um_sim::baseline::HeapQueue;
 use um_sim::{Cycles, EventQueue, Frequency};
@@ -177,14 +178,26 @@ fn splitmix(mut x: u64) -> u64 {
 mod tests {
     use super::*;
 
+    /// Calendar and heap agree on every fig7 load at one server and on
+    /// the 50K-RPS point fanned out to a 32-server backlog, over a 10 ms
+    /// horizon; a repeated replay on a fresh queue agrees with the first.
     #[test]
     fn both_engines_deliver_the_same_stream() {
-        let w = Workload::fig7(10_000.0, 5_000.0, 2, 42);
-        assert!(!w.arrivals.is_empty(), "horizon long enough for arrivals");
-        let calendar = replay(&mut EventQueue::new(), &w);
-        let heap = replay(&mut HeapQueue::new(), &w);
-        assert_eq!(calendar, heap);
-        assert_eq!(calendar.events, w.events_per_replay());
+        let points = FIG7_LOADS
+            .iter()
+            .map(|&rps| (rps, 1))
+            .chain([(50_000.0, 32)]);
+        for (rps, servers) in points {
+            let w = Workload::fig7(rps, 10_000.0, servers, 42);
+            assert!(!w.arrivals.is_empty(), "horizon long enough for arrivals");
+            let pool = w.arrivals.len() + 1;
+            let calendar = replay(&mut EventQueue::with_capacity(pool), &w);
+            let heap = replay(&mut HeapQueue::new(), &w);
+            assert_eq!(calendar, heap, "engines diverged at {rps} RPS x{servers}");
+            assert_eq!(calendar.events, w.events_per_replay());
+            assert_eq!(replay(&mut EventQueue::with_capacity(pool), &w), calendar);
+            assert_eq!(replay(&mut HeapQueue::new(), &w), heap);
+        }
     }
 
     #[test]

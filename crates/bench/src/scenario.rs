@@ -1187,7 +1187,7 @@ pub struct ScenarioOutput {
     /// The rendered table + prose, exactly as `um-sweep` prints it.
     pub text: String,
     /// Grid scenarios: the benchjson `points` array (wrap it in the
-    /// `BENCH_*.json` envelope with a `bench` name and `scale` label).
+    /// `validate_bench` envelope with a `bench` name and `scale` label).
     pub points: Option<Json>,
 }
 
@@ -3081,6 +3081,8 @@ mod tests {
     fn every_registry_scenario_validates() {
         for s in registry::all() {
             s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
+            let points = s.expand().unwrap_or_else(|e| panic!("{}: {e}", s.name));
+            assert!(!points.is_empty(), "{} expands to no points", s.name);
         }
     }
 

@@ -205,7 +205,7 @@ pub struct ClusterReport {
     /// Nodes active at the end of the run.
     pub active_nodes: usize,
     /// Events processed: node steps plus cluster-level events (the
-    /// scaling-curve denominator for `BENCH_cluster.json`).
+    /// denominator of the end-to-end benchmark's `cluster.events_per_s`).
     pub events: u64,
     /// Fleet-level conservation accounting over every completed request.
     pub conservation: ConservationStats,

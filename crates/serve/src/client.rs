@@ -1,7 +1,6 @@
 //! A minimal blocking HTTP/1.1 client — just enough to exercise the
-//! service over a real socket from the integration tests and the
-//! throughput bench. The server closes every connection, so a response
-//! is simply "read to EOF".
+//! service over a real socket from the integration tests. The server
+//! closes every connection, so a response is simply "read to EOF".
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};

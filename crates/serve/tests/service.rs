@@ -3,17 +3,20 @@
 //! The contract under test: anything `um-serve` hands back is
 //! byte-identical to what a direct in-process run of the same scenario
 //! produces; repeat submissions are cache hits that skip re-simulation;
-//! a full admission queue answers 429 with a `Retry-After` hint; and
+//! a full admission queue answers 429 with a `Retry-After` hint;
 //! malformed submissions answer 400 with the scenario layer's field-path
-//! errors.
+//! errors; and an over-long request line answers 400 instead of hanging.
 
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 use um_bench::benchjson::{obj, Json};
 use um_bench::scenario::{self, ScenarioKind};
 use um_serve::client::{self, HttpResponse};
+use um_serve::http::MAX_LINE_BYTES;
 use um_serve::server;
 use um_serve::service::{JobService, ServiceConfig};
 
@@ -276,4 +279,30 @@ fn registry_and_healthz_answer() {
     assert_eq!(missing.status, 404);
     let not_ready = get(addr, "/nope");
     assert_eq!(not_ready.status, 404);
+}
+
+#[test]
+fn over_long_request_line_answers_400_instead_of_hanging() {
+    let (addr, _service) = start(ServiceConfig {
+        workers: 1,
+        queue_depth: 4,
+        retry_after_secs: 1,
+    });
+    let mut stream = TcpStream::connect(addr).expect("connect over loopback");
+    // A server still waiting for the `\n` fails the read, not the suite.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    // A full line's worth of bytes, no terminator, write half left open:
+    // the server must give up at the bound rather than wait for more.
+    let line = format!("GET /{}", "a".repeat(MAX_LINE_BYTES - 5));
+    stream
+        .write_all(line.as_bytes())
+        .expect("write request line");
+    let mut raw = String::new();
+    stream
+        .read_to_string(&mut raw)
+        .expect("the server answers instead of waiting for a newline");
+    assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
+    assert!(raw.contains("exceeds"), "{raw}");
 }

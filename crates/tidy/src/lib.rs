@@ -34,15 +34,14 @@
 //! collects every string tag passed to `um_sim::rng::stream` /
 //! `stream_indexed` across the tree and flags the same tag reused by
 //! distinct files (two components sharing a tag draw *identical* random
-//! streams). Files are scanned by a deterministic parallel worker pool;
-//! diagnostics and the debt ledger are byte-stable regardless of thread
-//! count or directory iteration order because every output is keyed on
-//! the sorted workspace-relative path.
+//! streams). Diagnostics and the debt ledger are byte-stable regardless
+//! of directory iteration order because every output is keyed on the
+//! sorted workspace-relative path.
 //!
 //! `um-tidy --json` emits the full report as JSON whose rendering
 //! matches `um_bench::benchjson` byte for byte (parse → render is the
 //! identity), so the lint gate's output round-trips through the same
-//! document model as the committed `BENCH_*.json` trajectories.
+//! document model as the rest of the repo's JSON.
 //!
 //! # Rules
 //!
@@ -65,8 +64,6 @@ pub mod lexer;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use lexer::{LineView, Tok};
 
@@ -391,8 +388,8 @@ impl FileContext {
     }
 
     /// Wall-clock and entropy rules run everywhere except `um-bench`
-    /// (Criterion interop), `um-serve` (throughput bench timing) and
-    /// this crate.
+    /// (Criterion interop), `um-serve` (a host-side service outside the
+    /// determinism boundary) and this crate.
     fn bans_wall_clock(&self) -> bool {
         !matches!(&self.krate, Some(k) if k == "bench" || k == "tidy" || k == "serve")
     }
@@ -1104,68 +1101,27 @@ pub fn collect_rs_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(files)
 }
 
-/// Runs the whole pass over a workspace root with `jobs` parallel file
-/// scanners, returning the full report.
+/// Runs the whole pass over a workspace root, returning the full report.
 ///
-/// Parallelism never changes the output: files are claimed from a sorted
-/// list, results land in their list slot, and aggregation walks slots in
-/// order — `jobs = 1` and `jobs = 64` produce identical bytes.
+/// Files are analyzed in [`collect_rs_files`]'s sorted order, so the
+/// report is byte-stable across filesystems.
 ///
 /// # Errors
 ///
 /// Propagates the first directory-walk or file-read error.
-pub fn workspace_report(root: &Path, jobs: usize) -> std::io::Result<Report> {
-    let entries: Vec<(PathBuf, String)> = collect_rs_files(root)?
-        .into_iter()
-        .map(|file| {
-            let rel = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .to_string_lossy()
-                .replace('\\', "/");
-            (file, rel)
-        })
-        .collect();
-
-    let jobs = jobs.max(1).min(entries.len().max(1));
-    let cursor = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<std::io::Result<FileAnalysis>>>> =
-        entries.iter().map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some((file, rel)) = entries.get(idx) else {
-                    break;
-                };
-                let result =
-                    std::fs::read_to_string(file).map(|source| analyze_source(rel, &source));
-                *slots[idx].lock().expect("scanner slot poisoned") = Some(result);
-            });
-        }
-    });
-
-    let mut analyses = Vec::with_capacity(entries.len());
-    for ((_, rel), slot) in entries.iter().zip(slots) {
-        let result = slot
-            .into_inner()
-            .expect("scanner slot poisoned")
-            .expect("every slot filled");
-        analyses.push((rel.clone(), result?));
+pub fn workspace_report(root: &Path) -> std::io::Result<Report> {
+    let mut analyses = Vec::new();
+    for file in collect_rs_files(root)? {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let source = std::fs::read_to_string(&file)?;
+        let analysis = analyze_source(&rel, &source);
+        analyses.push((rel, analysis));
     }
     Ok(aggregate(analyses))
-}
-
-/// Runs the whole pass over a workspace root, returning all diagnostics
-/// sorted by path and line (compatibility wrapper over
-/// [`workspace_report`] with a single scanner thread).
-///
-/// # Errors
-///
-/// Propagates the first directory-walk or file-read error.
-pub fn check_workspace(root: &Path) -> std::io::Result<Vec<Diagnostic>> {
-    Ok(workspace_report(root, 1)?.diagnostics)
 }
 
 /// Renders the committed debt ledger (`results/tidy_debt.txt`): one row
@@ -1195,8 +1151,8 @@ pub fn render_debt(report: &Report) -> String {
 /// Renders the report as JSON whose text round-trips *byte-exactly*
 /// through `um_bench::benchjson` (`Json::parse(s).render() == s`): same
 /// 2-space indentation, integer formatting and string escaping. The lint
-/// gate stays zero-dependency while CI validates its output with the same
-/// tooling as the committed `BENCH_*.json` files.
+/// gate stays zero-dependency while its tests check the output with
+/// `um_bench::benchjson`.
 pub fn render_json(report: &Report) -> String {
     use jsonfmt::J;
     let violations = report
