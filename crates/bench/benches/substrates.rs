@@ -110,6 +110,34 @@ fn bench_request_queue(c: &mut Criterion) {
             rq.dequeue(1).expect("ready again");
         })
     });
+
+    // A cluster-sized RQ (capacity 512) with ~100 requests blocked on
+    // RPCs: the common dequeue finds nothing Ready, or one entry behind
+    // the blocked ones. Both cost O(occupancy), not O(capacity).
+    let blocked_rq = || {
+        let mut rq: RequestQueue<u64> = RequestQueue::new(512);
+        for i in 0..100 {
+            let slot = rq.enqueue(1, i).expect("room for 100");
+            rq.dequeue(1).expect("just enqueued");
+            rq.block(slot).expect("running blocks");
+        }
+        rq
+    };
+    c.bench_function("rq_dequeue_none_ready_behind_100_blocked", |b| {
+        let mut rq = blocked_rq();
+        b.iter(|| black_box(rq.dequeue(1).is_none()))
+    });
+
+    c.bench_function("rq_dequeue_one_ready_behind_100_blocked", |b| {
+        let mut rq = blocked_rq();
+        let slot = rq.enqueue(1, 100).expect("room for one more");
+        b.iter(|| {
+            let (got, _) = rq.dequeue(1).expect("the one ready entry");
+            debug_assert_eq!(got, slot);
+            rq.block(slot).expect("running blocks");
+            rq.unblock(slot).expect("blocked unblocks");
+        })
+    });
 }
 
 fn bench_fabric(c: &mut Criterion) {

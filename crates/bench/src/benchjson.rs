@@ -163,6 +163,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -196,9 +197,16 @@ fn render_string(s: &str, out: &mut String) {
     out.push('"');
 }
 
+/// How deep arrays and objects may nest. The parser recurses once per
+/// level, so the bound keeps a hostile document from overflowing the
+/// stack; scenario documents nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -240,8 +248,22 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
@@ -308,17 +330,24 @@ impl Parser<'_> {
                         }
                     }
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {start}"));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from &str,
-                    // so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
-                    let c = rest.chars().next().expect("peeked a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {start}"));
+                    // Copy the run up to the next quote, escape or control
+                    // byte in one slice. Those are all ASCII, and UTF-8
+                    // continuation bytes never are, so the run ends on a
+                    // character boundary of the `&str` input and is
+                    // validated once, not once per character.
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                    out.push_str(run);
                 }
             }
         }
@@ -507,6 +536,36 @@ mod tests {
     }
 
     #[test]
+    fn a_mebibyte_string_round_trips() {
+        // Multibyte characters next to every escape, so copied runs
+        // start and end beside non-ASCII text.
+        let unit = "añ\"€\\😀\n\t€\u{1}ñ";
+        let doc = Json::Str(unit.repeat((1 << 20) / unit.len()));
+        assert_eq!(Json::parse(&doc.render()).expect("parses"), doc);
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).expect_err("one level too deep");
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}")
+        );
+        // Objects count toward the same limit.
+        let objects = format!(
+            "{}1{}",
+            "{\"k\": ".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        let err = Json::parse(&objects).expect_err("one level too deep");
+        assert!(err.starts_with("nesting deeper than"), "{err}");
+        // Far past the limit fails the same way instead of overflowing.
+        assert!(Json::parse(&"[".repeat(20_000)).is_err());
+    }
+
+    #[test]
     #[should_panic(expected = "non-finite")]
     fn non_finite_numbers_refuse_to_render() {
         Json::Num(f64::NAN).render();
@@ -525,6 +584,7 @@ mod tests {
             "nulL",
             "{} trailing",
             "{\"a\": 1e}",
+            "\"raw \u{1} control\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should not parse");
         }

@@ -2,7 +2,7 @@
 //! partitioned extension.
 
 use crate::policy::DequeuePolicy;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use um_sim::Cycles;
 
 /// Status of one Request Queue entry (§4.3: "running, ready to run,
@@ -54,7 +54,6 @@ impl std::error::Error for RqError {}
 /// [`RqError::StaleSlot`] instead of corrupting an unrelated request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct RqSlot {
-    index: usize,
     generation: u64,
 }
 
@@ -62,7 +61,6 @@ pub struct RqSlot {
 struct Entry<T> {
     status: RqEntryStatus,
     service: u32,
-    generation: u64,
     /// When the entry last became Ready (enqueue or unblock); the timed
     /// dequeue variants report `now - ready_since` as the queue wait.
     ready_since: Cycles,
@@ -85,6 +83,11 @@ struct Entry<T> {
 /// - `Complete` marks an entry finished, and the head advances over
 ///   finished entries to reclaim slots.
 ///
+/// The model stores only the live window between head and tail, so every
+/// operation costs in proportion to the occupied entries, not to the
+/// capacity. Entries carry consecutive generations from head to tail, so
+/// a handle's position is its generation minus the head's.
+///
 /// # Examples
 ///
 /// ```
@@ -101,11 +104,13 @@ struct Entry<T> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RequestQueue<T> {
-    slots: Vec<Option<Entry<T>>>,
-    head: usize,
-    tail: usize,
-    len: usize,
-    next_generation: u64,
+    /// Occupied entries, head first; grows on demand up to `capacity`.
+    window: VecDeque<Entry<T>>,
+    capacity: usize,
+    /// Generation of the head entry (the next to be reclaimed).
+    head_generation: u64,
+    /// Ready entries in the window: a dequeue with none returns at once.
+    ready: usize,
     enqueues: u64,
     rejections: u64,
     ready_wait: Cycles,
@@ -121,11 +126,10 @@ impl<T> RequestQueue<T> {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "request queue needs nonzero capacity");
         Self {
-            slots: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            tail: 0,
-            len: 0,
-            next_generation: 0,
+            window: VecDeque::new(),
+            capacity,
+            head_generation: 0,
+            ready: 0,
             enqueues: 0,
             rejections: 0,
             ready_wait: Cycles::ZERO,
@@ -134,23 +138,23 @@ impl<T> RequestQueue<T> {
 
     /// Capacity in entries.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Number of occupied entries (including finished ones not yet
     /// reclaimed).
     pub fn len(&self) -> usize {
-        self.len
+        self.window.len()
     }
 
     /// Whether the RQ holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.window.is_empty()
     }
 
     /// Whether the RQ cannot accept another request.
     pub fn is_full(&self) -> bool {
-        self.len == self.slots.len()
+        self.window.len() == self.capacity
     }
 
     /// Enqueues a request for `service` at the tail.
@@ -176,49 +180,46 @@ impl<T> RequestQueue<T> {
             self.rejections += 1;
             return Err(RqError::Full);
         }
-        let index = self.tail;
-        debug_assert!(self.slots[index].is_none(), "tail points at occupied slot");
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.slots[index] = Some(Entry {
+        let generation = self.head_generation + self.window.len() as u64;
+        self.window.push_back(Entry {
             status: RqEntryStatus::Ready,
             service,
-            generation,
             ready_since: now,
             ctx,
         });
-        self.tail = (self.tail + 1) % self.slots.len();
-        self.len += 1;
+        self.ready += 1;
         self.enqueues += 1;
         #[cfg(feature = "sim-sanitizer")]
         self.check_occupancy();
-        Ok(RqSlot { index, generation })
+        Ok(RqSlot { generation })
     }
 
-    /// Sanitizer hook: the cached `len` must equal the number of occupied
-    /// slots, or the circular-buffer bookkeeping has drifted.
+    /// Sanitizer hook: the cached `ready` count must equal the number of
+    /// Ready entries, because a dequeue stops scanning once it has passed
+    /// that many and returns at once when it is zero.
     #[cfg(feature = "sim-sanitizer")]
     fn check_occupancy(&self) {
-        let occupied = self.slots.iter().filter(|s| s.is_some()).count();
-        if occupied != self.len {
+        let ready = self.count_status(RqEntryStatus::Ready);
+        if ready != self.ready {
             um_sim::sanitizer::report(
                 "rq-occupancy",
                 format!(
-                    "request queue len {} disagrees with {occupied} occupied slot(s)",
-                    self.len
+                    "request queue ready count {} disagrees with {ready} Ready entr{}",
+                    self.ready,
+                    if ready == 1 { "y" } else { "ies" }
                 ),
             );
         }
     }
 
-    /// Corrupts the cached occupancy counter.
+    /// Corrupts the cached Ready-entry count.
     ///
     /// Exists only so sanitizer tests can verify the `rq-occupancy` checker
     /// fires; never call this from simulation code.
     #[cfg(feature = "sim-sanitizer")]
     #[doc(hidden)]
-    pub fn corrupt_len_for_sanitizer_test(&mut self, len: usize) {
-        self.len = len;
+    pub fn corrupt_ready_count_for_sanitizer_test(&mut self, ready: usize) {
+        self.ready = ready;
     }
 
     /// The `Dequeue` instruction: claims the ready entry closest to the
@@ -268,6 +269,17 @@ impl<T> RequestQueue<T> {
             .map(|(slot, ctx, _)| (slot, ctx))
     }
 
+    /// Ready entries head first, with their window positions, matching
+    /// `service` when given. Stops after the last Ready entry.
+    fn ready_entries(&self, service: Option<u32>) -> impl Iterator<Item = (usize, &Entry<T>)> {
+        self.window
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.status == RqEntryStatus::Ready)
+            .take(self.ready)
+            .filter(move |(_, e)| service.is_none_or(|svc| e.service == svc))
+    }
+
     fn dequeue_inner(
         &mut self,
         service: Option<u32>,
@@ -275,51 +287,55 @@ impl<T> RequestQueue<T> {
         remaining: impl Fn(&T) -> u64,
         now: Cycles,
     ) -> Option<(RqSlot, &T, Cycles)> {
-        let cap = self.slots.len();
-        let mut best: Option<(usize, u64)> = None;
-        for off in 0..cap {
-            let idx = (self.head + off) % cap;
-            let Some(entry) = &self.slots[idx] else {
-                continue;
-            };
-            if entry.status != RqEntryStatus::Ready {
-                continue;
-            }
-            if let Some(svc) = service {
-                if entry.service != svc {
-                    continue;
-                }
-            }
+        let idx = {
+            let mut candidates = self.ready_entries(service);
             match policy {
-                DequeuePolicy::Fcfs => {
-                    best = Some((idx, 0));
-                    break; // scan order is head-first: first hit is oldest
-                }
-                DequeuePolicy::Srpt => {
-                    let key = remaining(&entry.ctx);
-                    if best.is_none_or(|(_, k)| key < k) {
-                        best = Some((idx, key));
-                    }
-                }
+                // Scan order is head-first: the first hit is the oldest.
+                DequeuePolicy::Fcfs => candidates.next()?.0,
+                // `min_by_key` keeps the first of equal keys: the head-most.
+                DequeuePolicy::Srpt => candidates.min_by_key(|(_, e)| remaining(&e.ctx))?.0,
             }
-        }
-        let (idx, _) = best?;
-        let entry = self.slots[idx].as_mut().expect("chosen slot occupied");
+        };
+        let entry = &mut self.window[idx];
         entry.status = RqEntryStatus::Running;
         let wait = now.saturating_sub(entry.ready_since);
+        self.ready -= 1;
         self.ready_wait += wait;
         let slot = RqSlot {
-            index: idx,
-            generation: entry.generation,
+            generation: self.head_generation + idx as u64,
         };
-        Some((slot, &self.slots[idx].as_ref().expect("occupied").ctx, wait))
+        Some((slot, &entry.ctx, wait))
+    }
+
+    /// Window position of a handle. A reclaimed handle wraps around to a
+    /// huge offset, so it falls outside the window like a never-issued one.
+    fn position(&self, slot: RqSlot) -> usize {
+        usize::try_from(slot.generation.wrapping_sub(self.head_generation)).unwrap_or(usize::MAX)
+    }
+
+    fn entry(&self, slot: RqSlot) -> Option<&Entry<T>> {
+        self.window.get(self.position(slot))
     }
 
     fn entry_mut(&mut self, slot: RqSlot) -> Result<&mut Entry<T>, RqError> {
-        match self.slots[slot.index].as_mut() {
-            Some(e) if e.generation == slot.generation => Ok(e),
-            _ => Err(RqError::StaleSlot),
+        let idx = self.position(slot);
+        self.window.get_mut(idx).ok_or(RqError::StaleSlot)
+    }
+
+    /// Applies `from -> to` to a live entry, reporting stale handles and
+    /// entries in any other status.
+    fn transition(
+        &mut self,
+        slot: RqSlot,
+        from: RqEntryStatus,
+        to: RqEntryStatus,
+    ) -> Result<&mut Entry<T>, RqError> {
+        let e = self.entry_mut(slot)?;
+        if e.status != from {
+            return Err(RqError::BadTransition { found: e.status });
         }
+        e.status = to;
+        Ok(e)
     }
 
     /// The `ContextSwitch` instruction's RQ side: running -> blocked.
@@ -329,11 +345,7 @@ impl<T> RequestQueue<T> {
     /// [`RqError::StaleSlot`] for reclaimed handles,
     /// [`RqError::BadTransition`] unless the entry is running.
     pub fn block(&mut self, slot: RqSlot) -> Result<(), RqError> {
-        let e = self.entry_mut(slot)?;
-        if e.status != RqEntryStatus::Running {
-            return Err(RqError::BadTransition { found: e.status });
-        }
-        e.status = RqEntryStatus::Blocked;
+        self.transition(slot, RqEntryStatus::Running, RqEntryStatus::Blocked)?;
         Ok(())
     }
 
@@ -353,12 +365,9 @@ impl<T> RequestQueue<T> {
     ///
     /// [`RqError::StaleSlot`] / [`RqError::BadTransition`] as for `block`.
     pub fn unblock_at(&mut self, slot: RqSlot, now: Cycles) -> Result<(), RqError> {
-        let e = self.entry_mut(slot)?;
-        if e.status != RqEntryStatus::Blocked {
-            return Err(RqError::BadTransition { found: e.status });
-        }
-        e.status = RqEntryStatus::Ready;
-        e.ready_since = now;
+        self.transition(slot, RqEntryStatus::Blocked, RqEntryStatus::Ready)?
+            .ready_since = now;
+        self.ready += 1;
         Ok(())
     }
 
@@ -369,80 +378,50 @@ impl<T> RequestQueue<T> {
     ///
     /// [`RqError::StaleSlot`] / [`RqError::BadTransition`] as for `block`.
     pub fn complete(&mut self, slot: RqSlot) -> Result<(), RqError> {
-        let e = self.entry_mut(slot)?;
-        if e.status != RqEntryStatus::Running {
-            return Err(RqError::BadTransition { found: e.status });
-        }
-        e.status = RqEntryStatus::Finished;
-        self.reclaim();
-        Ok(())
-    }
-
-    fn reclaim(&mut self) {
-        let cap = self.slots.len();
-        while self.len > 0 {
-            match &self.slots[self.head] {
-                Some(e) if e.status == RqEntryStatus::Finished => {
-                    self.slots[self.head] = None;
-                    self.head = (self.head + 1) % cap;
-                    self.len -= 1;
-                }
-                _ => break,
-            }
+        self.transition(slot, RqEntryStatus::Running, RqEntryStatus::Finished)?;
+        while self
+            .window
+            .front()
+            .is_some_and(|e| e.status == RqEntryStatus::Finished)
+        {
+            self.window.pop_front();
+            self.head_generation += 1;
         }
         #[cfg(feature = "sim-sanitizer")]
         self.check_occupancy();
+        Ok(())
     }
 
     /// Status of an entry; `None` for stale handles.
     pub fn status(&self, slot: RqSlot) -> Option<RqEntryStatus> {
-        match &self.slots[slot.index] {
-            Some(e) if e.generation == slot.generation => Some(e.status),
-            _ => None,
-        }
+        self.entry(slot).map(|e| e.status)
     }
 
     /// Immutable access to a request's context memory.
     pub fn ctx(&self, slot: RqSlot) -> Option<&T> {
-        match &self.slots[slot.index] {
-            Some(e) if e.generation == slot.generation => Some(&e.ctx),
-            _ => None,
-        }
+        self.entry(slot).map(|e| &e.ctx)
     }
 
     /// Mutable access to a request's context memory (the NIC writes RPC
     /// responses here, the core saves register state here).
     pub fn ctx_mut(&mut self, slot: RqSlot) -> Option<&mut T> {
-        match self.slots.get_mut(slot.index)?.as_mut() {
-            Some(e) if e.generation == slot.generation => Some(&mut e.ctx),
-            _ => None,
-        }
+        self.entry_mut(slot).ok().map(|e| &mut e.ctx)
     }
 
     /// The per-core Work flag (§4.3): whether a ready entry exists for
     /// `service`.
     pub fn has_ready(&self, service: u32) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|e| e.status == RqEntryStatus::Ready && e.service == service)
+        self.ready_entries(Some(service)).next().is_some()
     }
 
     /// Whether any service has a ready entry.
     pub fn has_any_ready(&self) -> bool {
-        self.slots
-            .iter()
-            .flatten()
-            .any(|e| e.status == RqEntryStatus::Ready)
+        self.ready > 0
     }
 
     /// Count of entries in a given status.
     pub fn count_status(&self, status: RqEntryStatus) -> usize {
-        self.slots
-            .iter()
-            .flatten()
-            .filter(|e| e.status == status)
-            .count()
+        self.window.iter().filter(|e| e.status == status).count()
     }
 
     /// Total accepted enqueues.
@@ -649,7 +628,6 @@ mod tests {
         rq.complete(a).unwrap();
         assert_eq!(rq.len(), 1);
         let c = rq.enqueue(1, 2).unwrap(); // reuses a's slot
-        assert_eq!(c.index, a.index);
         assert_ne!(c.generation, a.generation);
         assert_eq!(rq.status(a), None, "stale handle must not resolve");
         let _ = b;
@@ -878,74 +856,226 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    const SERVICES: u32 = 3;
+
     #[derive(Clone, Debug)]
     enum Op {
-        Enqueue(u32),
-        Dequeue(u32),
-        BlockNewest,
-        UnblockOldestBlocked,
-        CompleteNewestRunning,
+        Enqueue {
+            service: u32,
+            ctx: u64,
+            now: u64,
+        },
+        /// `service: None` is the timed any-service dequeue.
+        Dequeue {
+            service: Option<u32>,
+            srpt: bool,
+            now: u64,
+        },
+        /// Handle operations pick among every handle ever issued, so
+        /// reclaimed (stale) handles are exercised too.
+        Block(usize),
+        Unblock(usize, u64),
+        Complete(usize),
+        Status(usize),
     }
 
     fn op_strategy() -> impl Strategy<Value = Op> {
         prop_oneof![
-            (0u32..3).prop_map(Op::Enqueue),
-            (0u32..3).prop_map(Op::Dequeue),
-            Just(Op::BlockNewest),
-            Just(Op::UnblockOldestBlocked),
-            Just(Op::CompleteNewestRunning),
+            3 => (0..SERVICES, 0u64..4, 0u64..1_000)
+                .prop_map(|(service, ctx, now)| Op::Enqueue { service, ctx, now }),
+            3 => (proptest::option::of(0..SERVICES), proptest::bool::ANY, 0u64..1_000)
+                .prop_map(|(service, srpt, now)| Op::Dequeue { service, srpt, now }),
+            1 => (0usize..64).prop_map(Op::Block),
+            1 => (0usize..64, 0u64..1_000).prop_map(|(h, now)| Op::Unblock(h, now)),
+            2 => (0usize..64).prop_map(Op::Complete),
+            1 => (0usize..64).prop_map(Op::Status),
         ]
     }
 
+    /// The naive reference: the live entries head first, as
+    /// `(generation, service, status, ctx, ready_since)`.
+    struct Model {
+        capacity: usize,
+        entries: Vec<(u64, u32, RqEntryStatus, u64, u64)>,
+        next_generation: u64,
+        ready_wait: u64,
+    }
+
+    impl Model {
+        fn enqueue(&mut self, service: u32, ctx: u64, now: u64) -> Result<u64, RqError> {
+            if self.entries.len() == self.capacity {
+                return Err(RqError::Full);
+            }
+            let generation = self.next_generation;
+            self.next_generation += 1;
+            self.entries
+                .push((generation, service, RqEntryStatus::Ready, ctx, now));
+            Ok(generation)
+        }
+
+        fn dequeue(
+            &mut self,
+            service: Option<u32>,
+            srpt: bool,
+            now: u64,
+        ) -> Option<(u64, u64, u64)> {
+            let mut best: Option<usize> = None;
+            for (i, e) in self.entries.iter().enumerate() {
+                if e.2 != RqEntryStatus::Ready || service.is_some_and(|s| s != e.1) {
+                    continue;
+                }
+                match best {
+                    None => best = Some(i),
+                    Some(b) if srpt && e.3 < self.entries[b].3 => best = Some(i),
+                    Some(_) => {}
+                }
+                if !srpt {
+                    break;
+                }
+            }
+            let e = &mut self.entries[best?];
+            e.2 = RqEntryStatus::Running;
+            let wait = now.saturating_sub(e.4);
+            self.ready_wait += wait;
+            Some((e.0, e.3, wait))
+        }
+
+        fn transition(
+            &mut self,
+            generation: u64,
+            from: RqEntryStatus,
+            to: RqEntryStatus,
+            now: u64,
+        ) -> Result<(), RqError> {
+            let e = self
+                .entries
+                .iter_mut()
+                .find(|e| e.0 == generation)
+                .ok_or(RqError::StaleSlot)?;
+            if e.2 != from {
+                return Err(RqError::BadTransition { found: e.2 });
+            }
+            e.2 = to;
+            if to == RqEntryStatus::Ready {
+                e.4 = now;
+            }
+            while self
+                .entries
+                .first()
+                .is_some_and(|e| e.2 == RqEntryStatus::Finished)
+            {
+                self.entries.remove(0);
+            }
+            Ok(())
+        }
+
+        fn status(&self, generation: u64) -> Option<RqEntryStatus> {
+            self.entries.iter().find(|e| e.0 == generation).map(|e| e.2)
+        }
+
+        fn count(&self, status: RqEntryStatus) -> usize {
+            self.entries.iter().filter(|e| e.2 == status).count()
+        }
+    }
+
+    fn pick(handles: &[RqSlot], h: usize) -> Option<RqSlot> {
+        handles.get(h % handles.len().max(1)).copied()
+    }
+
     proptest! {
-        /// The RQ never exceeds capacity, never loses a request silently,
-        /// and status transitions always go through legal paths.
+        /// Every operation agrees with the naive reference list: results
+        /// and errors, FCFS/SRPT choice (with and without a service
+        /// filter), `Full` at small capacities, stale handles after
+        /// reclaim, and every observable count after each step.
         #[test]
-        fn rq_state_machine(ops in proptest::collection::vec(op_strategy(), 1..300)) {
-            let mut rq: RequestQueue<u64> = RequestQueue::new(8);
-            let mut running: Vec<RqSlot> = Vec::new();
-            let mut blocked: Vec<RqSlot> = Vec::new();
-            let mut accepted = 0u64;
-            let mut completed = 0u64;
+        fn rq_state_machine(
+            capacity in 1usize..6,
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+        ) {
+            let mut rq: RequestQueue<u64> = RequestQueue::new(capacity);
+            let mut model = Model {
+                capacity,
+                entries: Vec::new(),
+                next_generation: 0,
+                ready_wait: 0,
+            };
+            let mut handles: Vec<RqSlot> = Vec::new();
+            let mut rejections = 0u64;
             for op in ops {
                 match op {
-                    Op::Enqueue(svc) => {
-                        if rq.enqueue(svc, 0).is_ok() {
-                            accepted += 1;
+                    Op::Enqueue { service, ctx, now } => {
+                        let got = rq.enqueue_at(service, ctx, Cycles::new(now));
+                        let want = model.enqueue(service, ctx, now);
+                        prop_assert_eq!(got.map(|s| s.generation), want);
+                        match got {
+                            Ok(slot) => handles.push(slot),
+                            Err(_) => rejections += 1,
                         }
                     }
-                    Op::Dequeue(svc) => {
-                        if let Some((slot, _)) = rq.dequeue(svc) {
-                            running.push(slot);
-                        }
+                    Op::Dequeue { service, srpt, now } => {
+                        let policy = if srpt { DequeuePolicy::Srpt } else { DequeuePolicy::Fcfs };
+                        let got = match service {
+                            Some(svc) => rq
+                                .dequeue_with(svc, policy, |&c| c)
+                                .map(|(s, &c)| (s.generation, c, 0)),
+                            None => rq
+                                .dequeue_any_with_at(policy, |&c| c, Cycles::new(now))
+                                .map(|(s, &c, w)| (s.generation, c, w.raw())),
+                        };
+                        // Untimed dequeues measure from time zero.
+                        let want = model.dequeue(service, srpt, if service.is_some() { 0 } else { now });
+                        prop_assert_eq!(got, want);
                     }
-                    Op::BlockNewest => {
-                        if let Some(slot) = running.pop() {
-                            rq.block(slot).expect("running slot blocks");
-                            blocked.push(slot);
-                        }
+                    Op::Block(h) => {
+                        let Some(slot) = pick(&handles, h) else { continue };
+                        let want = model.transition(
+                            slot.generation, RqEntryStatus::Running, RqEntryStatus::Blocked, 0,
+                        );
+                        prop_assert_eq!(rq.block(slot), want);
                     }
-                    Op::UnblockOldestBlocked => {
-                        if !blocked.is_empty() {
-                            let slot = blocked.remove(0);
-                            rq.unblock(slot).expect("blocked slot unblocks");
-                        }
+                    Op::Unblock(h, now) => {
+                        let Some(slot) = pick(&handles, h) else { continue };
+                        let want = model.transition(
+                            slot.generation, RqEntryStatus::Blocked, RqEntryStatus::Ready, now,
+                        );
+                        prop_assert_eq!(rq.unblock_at(slot, Cycles::new(now)), want);
                     }
-                    Op::CompleteNewestRunning => {
-                        if let Some(slot) = running.pop() {
-                            rq.complete(slot).expect("running slot completes");
-                            completed += 1;
-                        }
+                    Op::Complete(h) => {
+                        let Some(slot) = pick(&handles, h) else { continue };
+                        let want = model.transition(
+                            slot.generation, RqEntryStatus::Running, RqEntryStatus::Finished, 0,
+                        );
+                        prop_assert_eq!(rq.complete(slot), want);
+                    }
+                    Op::Status(h) => {
+                        let Some(slot) = pick(&handles, h) else { continue };
+                        let want = model.status(slot.generation);
+                        prop_assert_eq!(rq.status(slot), want);
+                        prop_assert_eq!(rq.ctx(slot).is_some(), want.is_some());
                     }
                 }
-                prop_assert!(rq.len() <= rq.capacity());
+                prop_assert_eq!(rq.len(), model.entries.len());
+                prop_assert_eq!(rq.is_full(), model.entries.len() == capacity);
+                prop_assert_eq!(rq.is_empty(), model.entries.is_empty());
+                for status in [
+                    RqEntryStatus::Ready,
+                    RqEntryStatus::Running,
+                    RqEntryStatus::Blocked,
+                    RqEntryStatus::Finished,
+                ] {
+                    prop_assert_eq!(rq.count_status(status), model.count(status));
+                }
+                for svc in 0..SERVICES {
+                    let want = model
+                        .entries
+                        .iter()
+                        .any(|e| e.1 == svc && e.2 == RqEntryStatus::Ready);
+                    prop_assert_eq!(rq.has_ready(svc), want);
+                }
+                prop_assert_eq!(rq.has_any_ready(), model.count(RqEntryStatus::Ready) > 0);
+                prop_assert_eq!(rq.ready_wait_cycles(), Cycles::new(model.ready_wait));
+                prop_assert_eq!(rq.rejection_count(), rejections);
             }
-            // Everything accepted is either still tracked or completed;
-            // finished entries awaiting head reclamation are both, so
-            // subtract them once.
-            let live = rq.len() as u64;
-            let finished_unreclaimed = rq.count_status(RqEntryStatus::Finished) as u64;
-            prop_assert_eq!(accepted, completed + live - finished_unreclaimed);
         }
     }
 }

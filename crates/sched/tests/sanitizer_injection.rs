@@ -1,5 +1,5 @@
 //! Deliberate-violation tests for the `sim-sanitizer` checkers in this
-//! crate: a corrupted RQ occupancy counter and an overdrawn retry budget
+//! crate: a corrupted RQ Ready count and an overdrawn retry budget
 //! must surface as structured violations, while healthy lifecycles leave
 //! the registry empty.
 #![cfg(feature = "sim-sanitizer")]
@@ -12,7 +12,7 @@ fn corrupted_occupancy_is_reported() {
     let _ = sanitizer::take();
     let mut rq = RequestQueue::new(4);
     rq.enqueue(1, ()).unwrap();
-    rq.corrupt_len_for_sanitizer_test(3);
+    rq.corrupt_ready_count_for_sanitizer_test(3);
     rq.enqueue(1, ()).unwrap();
     let violations = sanitizer::take();
     assert!(

@@ -306,3 +306,23 @@ fn over_long_request_line_answers_400_instead_of_hanging() {
     assert!(raw.starts_with("HTTP/1.1 400 "), "{raw}");
     assert!(raw.contains("exceeds"), "{raw}");
 }
+
+#[test]
+fn deeply_nested_body_answers_400_and_the_service_keeps_serving() {
+    let (addr, _service) = start(ServiceConfig {
+        workers: 1,
+        queue_depth: 4,
+        retry_after_secs: 1,
+    });
+    // Unbounded recursion would overflow the connection thread's stack
+    // and abort the whole process.
+    let rejected = post(addr, "/jobs", &"[".repeat(20_000));
+    assert_eq!(rejected.status, 400, "{}", rejected.body);
+    assert!(
+        rejected.body.contains("nesting deeper than"),
+        "{}",
+        rejected.body
+    );
+    let health = get(addr, "/healthz");
+    assert_eq!(health.status, 200);
+}

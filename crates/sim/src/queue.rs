@@ -256,8 +256,10 @@ impl<E> EventQueue<E> {
                 return Some(Cycles::new((self.base & !(SLOTS as u64 - 1)) | slot));
             }
             // Upper-level bucket: slots are wider than one cycle, so the
-            // earliest node must be scanned for. Peeking is off the hot
-            // path (pop cascades instead of scanning).
+            // earliest node must be scanned for (pop cascades instead).
+            // This is on a hot path: the cluster driver peeks each node
+            // twice per step, and at 512 nodes most peeks land here. The
+            // buckets it finds are short, about 1.5 nodes on average.
             let mut n = self.heads[level * SLOTS + slot as usize];
             let mut min = u64::MAX;
             while n != NIL {
