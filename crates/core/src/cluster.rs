@@ -227,7 +227,10 @@ impl ClusterReport {
     }
 }
 
-/// One fleet request's load-balancer-side state, indexed by token.
+/// One fleet request's load-balancer-side state, indexed by token. A
+/// token is the request's slot in `ClusterSim::records`; it returns to
+/// the free list once the response is accounted, so the table holds only
+/// the requests in flight.
 #[derive(Clone, Copy, Debug)]
 struct LbRequest {
     /// When the client handed the request to the LB.
@@ -267,7 +270,12 @@ pub struct ClusterSim {
     nodes: Vec<SystemSim>,
     /// The rack fabric; endpoint `cfg.nodes` is the load balancer.
     fabric: ExternalNetwork,
+    /// Per-token state of the requests in flight; released tokens wait
+    /// in `free_tokens` for the next arrival.
     records: Vec<LbRequest>,
+    free_tokens: Vec<u64>,
+    /// Requests ever admitted at the load balancer.
+    admitted: u64,
     /// Admission-queue FIFO of tokens waiting for a node slot.
     lb_queue: VecDeque<u64>,
     in_flight: Vec<u64>,
@@ -374,7 +382,9 @@ impl ClusterSim {
         Self {
             events,
             fabric,
-            records: Vec::with_capacity(times.len()),
+            records: Vec::new(),
+            free_tokens: Vec::new(),
+            admitted: 0,
             lb_queue: VecDeque::new(),
             in_flight: vec![0; cfg.nodes],
             dispatched: vec![0; cfg.nodes],
@@ -402,16 +412,24 @@ impl ClusterSim {
     /// Runs the rack to completion (every admitted request has its
     /// response delivered to the load balancer) and returns the report.
     pub fn run(mut self) -> ClusterReport {
-        while let Some((now, event)) = self.events.pop() {
-            self.cluster_events += 1;
-            match event {
-                ClusterEvent::Arrival => self.on_arrival(now),
-                ClusterEvent::NodeWake { node } => self.on_node_wake(node, now),
-                ClusterEvent::Response { token } => self.on_response(token, now),
-                ClusterEvent::NodeUp { node } => self.on_node_up(node, now),
-            }
-        }
+        while self.step() {}
         self.into_report()
+    }
+
+    /// Delivers the next calendar event; `false` once the calendar is
+    /// empty.
+    fn step(&mut self) -> bool {
+        let Some((now, event)) = self.events.pop() else {
+            return false;
+        };
+        self.cluster_events += 1;
+        match event {
+            ClusterEvent::Arrival => self.on_arrival(now),
+            ClusterEvent::NodeWake { node } => self.on_node_wake(node, now),
+            ClusterEvent::Response { token } => self.on_response(token, now),
+            ClusterEvent::NodeUp { node } => self.on_node_up(node, now),
+        }
+        true
     }
 
     fn freq(&self) -> um_sim::Frequency {
@@ -439,15 +457,25 @@ impl ClusterSim {
     // ---- event handlers ------------------------------------------------
 
     fn on_arrival(&mut self, now: Cycles) {
-        let token = self.records.len() as u64;
-        self.records.push(LbRequest {
+        let rec = LbRequest {
             sent_at: now,
             node: None,
             hop_req: Cycles::ZERO,
             hop_resp: Cycles::ZERO,
             node_bd: LatencyBreakdown::new(),
             gave_up: false,
-        });
+        };
+        self.admitted += 1;
+        let token = match self.free_tokens.pop() {
+            Some(token) => {
+                self.records[token as usize] = rec;
+                token
+            }
+            None => {
+                self.records.push(rec);
+                self.records.len() as u64 - 1
+            }
+        };
         match self.route(now, false) {
             Some(node) => self.dispatch(token, node, now),
             None => {
@@ -581,6 +609,7 @@ impl ClusterSim {
 
     fn on_response(&mut self, token: u64, now: Cycles) {
         let rec = self.records[token as usize];
+        self.free_tokens.push(token);
         let node = rec.node.expect("response implies dispatch");
         self.in_flight[node] -= 1;
         self.completed += 1;
@@ -669,21 +698,31 @@ impl ClusterSim {
                     ),
                 );
             }
-            if self.completed != self.records.len() as u64 {
+            if self.completed != self.admitted {
                 um_sim::sanitizer::report(
                     "cluster-conservation",
                     format!(
                         "{} responses for {} admitted requests",
-                        self.completed,
-                        self.records.len()
+                        self.completed, self.admitted
+                    ),
+                );
+            }
+            let mut freed = vec![0u32; self.records.len()];
+            for &token in &self.free_tokens {
+                freed[token as usize] += 1;
+            }
+            if let Some(token) = freed.iter().position(|&n| n != 1) {
+                um_sim::sanitizer::report(
+                    "cluster-conservation",
+                    format!(
+                        "token {token} is on the free list {} times at end of run",
+                        freed[token]
                     ),
                 );
             }
             um_sim::sanitizer::assert_clean(&format!(
                 "ClusterSim run (seed {}, {} nodes, {} requests)",
-                self.cfg.seed,
-                self.cfg.nodes,
-                self.records.len()
+                self.cfg.seed, self.cfg.nodes, self.admitted
             ));
         }
         self.latency.freeze();
@@ -756,6 +795,20 @@ mod tests {
             assert!(r.conservation.exact(), "{routing:?}");
             assert_eq!(r.node_reports.len(), 3);
         }
+    }
+
+    #[test]
+    fn answered_tokens_are_recycled() {
+        let mut sim = ClusterSim::new(tiny(RoutingPolicy::JsqD { d: 2 }));
+        while sim.step() {}
+        let (tokens, admitted) = (sim.records.len() as u64, sim.admitted);
+        let r = sim.into_report();
+        assert_eq!(r.completed, admitted);
+        assert!(
+            tokens * 4 < r.completed,
+            "{tokens} tokens for {} completed requests",
+            r.completed
+        );
     }
 
     #[test]

@@ -4,7 +4,18 @@ use um_sim::trace::LatencyBreakdown;
 use um_sim::Cycles;
 use um_workload::{RequestPlan, RpcKind, ServiceId};
 
-/// Index of a request in the simulation's request table.
+/// A slot in the simulation's request table. Slots are recycled: a
+/// finished request's slot goes back on a free list and the next arrival
+/// or child call reuses it, so the table's size follows the requests in
+/// flight rather than every request ever admitted (the paper's Request
+/// Context Memory reclaims a context on `Complete` the same way, §4.3).
+///
+/// A slot can outlive its request's `Done`: a pending hedge point, retry
+/// timeout or storage response, and every live child call, still name it
+/// and read its state (to find the operation stale, or the parent's
+/// village to route the response to). [`Request::refs`] counts those
+/// names; the slot is freed only once the request is `Done` and the count
+/// is zero, so an ID is never reused while anything can still see it.
 pub type ReqId = usize;
 
 /// Who receives a request's final response.
@@ -114,6 +125,11 @@ pub struct Request {
     /// own arrival process generated; `Some` routes the completion into
     /// the node's completion outbox instead of ending at the package edge.
     pub cluster_token: Option<u64>,
+    /// What can still name this request after it finishes: pending
+    /// `HedgeFire` / `RpcTimeout` / `StorageDone` events for it, and its
+    /// live child calls. The slot is recycled only at `Done` with zero
+    /// references (see [`ReqId`]).
+    pub refs: u32,
 }
 
 impl Request {
@@ -150,6 +166,7 @@ impl Request {
             op_rpc: None,
             op_village: 0,
             cluster_token: None,
+            refs: 0,
         }
     }
 

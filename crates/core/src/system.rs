@@ -407,7 +407,13 @@ pub struct NodeCompletion {
 pub struct SystemSim {
     cfg: SimConfig,
     events: EventQueue<Event>,
+    /// The request table: a slab whose released slots (listed in `free`)
+    /// the next arrival or child call reuses, so it holds only the
+    /// requests in flight plus finished ones still named (see [`ReqId`]).
     requests: Vec<Request>,
+    free: Vec<ReqId>,
+    /// Requests ever admitted: client arrivals plus child calls.
+    admitted: u64,
     servers: Vec<Server>,
     external: ExternalNetwork,
     coherence: CoherenceModel,
@@ -694,7 +700,9 @@ impl SystemSim {
             drop_p: cfg.fault_plan.drop_probability(),
             retry_budget: RetryBudget::new(cfg.mitigation.retry.map_or(0.0, |r| r.budget_fraction)),
             events,
-            requests: Vec::with_capacity(expected_arrivals),
+            requests: Vec::new(),
+            free: Vec::new(),
+            admitted: 0,
             servers,
             latency: Samples::new(),
             queueing: Samples::new(),
@@ -875,8 +883,7 @@ impl SystemSim {
         let service = self.cfg.workload.sample_root(&mut self.rng);
         let village = self.pick_village(server, service, now);
         let plan = self.cfg.workload.sample_plan(service, &mut self.rng);
-        let req = self.requests.len();
-        self.requests.push(Request::new(
+        let req = self.admit(Request::new(
             plan,
             Origin::Client { sent_at: now },
             server,
@@ -1462,22 +1469,25 @@ impl SystemSim {
         }
         self.issue_attempt(req, now);
         if let Some(h) = self.cfg.mitigation.hedge {
-            self.events.schedule_at(
+            self.schedule_pinned(
                 now + self.wall_cycles(h.delay_us),
+                req,
                 Event::HedgeFire { req, gen },
             );
         }
         if let Some(rc) = self.cfg.mitigation.retry {
-            self.events.schedule_at(
+            self.schedule_pinned(
                 now + self.wall_cycles(rc.timeout_for_attempt_us(1)),
+                req,
                 Event::RpcTimeout { req, gen },
             );
         } else if self.drop_p > 0.0 {
             // No retry policy, but legs can be lost: a liveness timeout
             // turns a stranded operation into a give-up instead of a
             // hang.
-            self.events.schedule_at(
+            self.schedule_pinned(
                 now + self.wall_cycles(params::DEFAULT_RPC_TIMEOUT_US),
+                req,
                 Event::RpcTimeout { req, gen },
             );
         }
@@ -1538,8 +1548,9 @@ impl SystemSim {
         // storage service time; the issue delay back to the operation
         // start is resilience overhead.
         let resilience = now - self.requests[req].op_started_at;
-        self.events.schedule_at(
+        self.schedule_pinned(
             back + ingress,
+            req,
             Event::StorageDone {
                 req,
                 gen: self.requests[req].op_gen,
@@ -1578,13 +1589,13 @@ impl SystemSim {
         let dst_cluster = self.core_cluster(server, child_village);
         let plan = self.cfg.workload.sample_plan(service, &mut self.rng);
         let gen = self.requests[req].op_gen;
-        let child = self.requests.len();
-        self.requests.push(Request::new(
+        let child = self.admit(Request::new(
             plan,
             Origin::Parent { req, gen },
             server,
             child_village,
         ));
+        self.requests[req].refs += 1;
         let arrive =
             self.servers[server]
                 .icn
@@ -1620,14 +1631,13 @@ impl SystemSim {
         resilience: Cycles,
         now: Cycles,
     ) {
-        {
-            let r = &self.requests[req];
-            if r.phase != Phase::Blocked || r.op_resolved || r.op_gen != gen {
-                // A losing attempt: its operation already resolved (or
-                // was abandoned and the request moved on).
-                self.faults.wasted_attempts += 1;
-                return;
-            }
+        let stale = self.op_is_stale(req, gen);
+        self.unpin(req);
+        if stale {
+            // A losing attempt: its operation already resolved (or was
+            // abandoned and the request moved on).
+            self.faults.wasted_attempts += 1;
+            return;
         }
         {
             let r = &mut self.requests[req];
@@ -1644,11 +1654,10 @@ impl SystemSim {
     /// The hedging policy's backup-issue point: if the operation is still
     /// open past the hedge delay, issue a backup attempt.
     fn on_hedge_fire(&mut self, req: ReqId, gen: u32, now: Cycles) {
-        {
-            let r = &self.requests[req];
-            if r.phase != Phase::Blocked || r.op_resolved || r.op_gen != gen {
-                return; // resolved before the hedge point
-            }
+        let stale = self.op_is_stale(req, gen);
+        self.unpin(req);
+        if stale {
+            return; // resolved before the hedge point
         }
         self.faults.hedges += 1;
         self.requests[req].hedges += 1;
@@ -1658,19 +1667,19 @@ impl SystemSim {
     /// An attempt timeout: retry (with exponential backoff, against the
     /// retry budget) or abandon the operation.
     fn on_rpc_timeout(&mut self, req: ReqId, gen: u32, now: Cycles) {
-        {
-            let r = &self.requests[req];
-            if r.phase != Phase::Blocked || r.op_resolved || r.op_gen != gen {
-                return; // resolved in time
-            }
+        let stale = self.op_is_stale(req, gen);
+        self.unpin(req);
+        if stale {
+            return; // resolved in time
         }
         if let Some(rc) = self.cfg.mitigation.retry {
             if self.requests[req].op_attempts < rc.max_attempts && self.retry_budget.try_spend() {
                 self.faults.retries += 1;
                 self.issue_attempt(req, now);
                 let attempt = self.requests[req].op_attempts;
-                self.events.schedule_at(
+                self.schedule_pinned(
                     now + self.wall_cycles(rc.timeout_for_attempt_us(attempt)),
+                    req,
                     Event::RpcTimeout { req, gen },
                 );
                 return;
@@ -1821,10 +1830,8 @@ impl SystemSim {
                 };
                 let spawned_at = self.requests[req].spawned_at;
                 self.breakdown.check(&bd, arrive - spawned_at);
-                let stale = {
-                    let p = &self.requests[parent];
-                    p.op_resolved || p.op_gen != gen || p.phase != Phase::Blocked
-                };
+                let stale = self.op_is_stale(parent, gen);
+                self.unpin(parent);
                 if stale {
                     // A losing attempt's child: conservation-checked
                     // above, but its operation already resolved (or was
@@ -1855,31 +1862,89 @@ impl SystemSim {
 
         self.events
             .schedule_at(free_at, Event::CoreFree { server, village });
+        self.release_if_finished(req);
+    }
+
+    // ---- request table ---------------------------------------------------
+
+    /// Places a new request in a free slot, or a fresh one, and returns
+    /// its ID.
+    fn admit(&mut self, r: Request) -> ReqId {
+        self.admitted += 1;
+        match self.free.pop() {
+            Some(id) => {
+                self.requests[id] = r;
+                id
+            }
+            None => {
+                self.requests.push(r);
+                self.requests.len() - 1
+            }
+        }
+    }
+
+    /// Schedules an event that may be delivered after `req` finishes,
+    /// keeping its slot from being recycled until then.
+    fn schedule_pinned(&mut self, at: Cycles, req: ReqId, event: Event) {
+        self.requests[req].refs += 1;
+        self.events.schedule_at(at, event);
+    }
+
+    /// Drops one reference to `req` (a pinned event was delivered, or a
+    /// child call answered) and recycles its slot if that was the last
+    /// name of a finished request.
+    fn unpin(&mut self, req: ReqId) {
+        self.requests[req].refs -= 1;
+        self.release_if_finished(req);
+    }
+
+    /// Whether operation `gen` of `req` is over: resolved, superseded by a
+    /// later operation, or abandoned with the request moved on.
+    fn op_is_stale(&self, req: ReqId, gen: u32) -> bool {
+        let r = &self.requests[req];
+        r.phase != Phase::Blocked || r.op_resolved || r.op_gen != gen
+    }
+
+    /// Returns `req`'s slot to the free list once it is finished and
+    /// nothing names it any more (see [`ReqId`]).
+    fn release_if_finished(&mut self, req: ReqId) {
+        let r = &mut self.requests[req];
+        if r.phase == Phase::Done && r.refs == 0 {
+            debug_assert!(!r.plan.segments.is_empty(), "request {req} released twice");
+            r.plan.segments = Vec::new();
+            self.free.push(req);
+        }
     }
 
     fn into_report(mut self) -> RunReport {
         // Request conservation: with the event queue drained, every admitted
-        // request must have reached Done and been counted exactly once.
+        // request must have reached Done and been counted exactly once, and
+        // every slot must be back on the free list exactly once with no
+        // reference left pinning it.
         #[cfg(feature = "sim-sanitizer")]
         {
+            let mut freed = vec![0u32; self.requests.len()];
+            for &id in &self.free {
+                freed[id] += 1;
+            }
             for (id, r) in self.requests.iter().enumerate() {
-                if r.phase != Phase::Done {
+                if r.phase != Phase::Done || r.refs > 0 || freed[id] != 1 {
                     um_sim::sanitizer::report(
                         "request-conservation",
                         format!(
-                            "request {id} ended the run in phase {:?}, not Done",
-                            r.phase
+                            "slot {id} ended the run in phase {:?} with {} references, \
+                             on the free list {} times",
+                            r.phase, r.refs, freed[id]
                         ),
                     );
                 }
             }
-            if self.completed != self.requests.len() as u64 {
+            if self.completed != self.admitted {
                 um_sim::sanitizer::report(
                     "request-conservation",
                     format!(
                         "{} completions recorded for {} admitted requests",
-                        self.completed,
-                        self.requests.len()
+                        self.completed, self.admitted
                     ),
                 );
             }
@@ -1897,8 +1962,7 @@ impl SystemSim {
             }
             um_sim::sanitizer::assert_clean(&format!(
                 "SystemSim run (seed {}, {} requests)",
-                self.cfg.seed,
-                self.requests.len()
+                self.cfg.seed, self.admitted
             ));
         }
         self.latency.freeze();
@@ -1948,6 +2012,25 @@ impl SystemSim {
     #[doc(hidden)]
     pub fn corrupt_fault_accounting_for_sanitizer_test(&mut self) {
         self.faults.faults_applied += 1;
+    }
+
+    /// Takes a reference to a request in flight that is never dropped,
+    /// so its slot is never recycled and the `request-conservation`
+    /// sanitizer checker trips at the end of the run. Deliberate-violation
+    /// tests only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no request is in flight.
+    #[cfg(feature = "sim-sanitizer")]
+    #[doc(hidden)]
+    pub fn leak_request_ref_for_sanitizer_test(&mut self) {
+        let r = self
+            .requests
+            .iter_mut()
+            .find(|r| r.phase != Phase::Done)
+            .expect("a request is in flight");
+        r.refs += 1;
     }
 }
 
@@ -2518,6 +2601,44 @@ mod tests {
             degraded.latency.p99
         );
         assert!(hedged.conservation.exact(), "{:?}", hedged.conservation);
+    }
+
+    #[test]
+    fn finished_requests_are_recycled_through_stale_events() {
+        // Hedges, retries and drops leave stale timers, losing storage
+        // responses and losing children naming requests that already
+        // finished; their slots must still be recycled, so the table
+        // follows the requests in flight, not the requests ever admitted.
+        let plan = FaultPlan::builder(8).message_drops(0.01).build();
+        let mut sim = SystemSim::new(SimConfig {
+            machine: MachineConfig::umanycore(),
+            workload: Workload::social_mix(),
+            rps_per_server: 5_000.0,
+            servers: 1,
+            horizon_us: 40_000.0,
+            warmup_us: 4_000.0,
+            seed: 31,
+            fault_plan: plan,
+            mitigation: MitigationConfig {
+                hedge: Some(HedgeConfig::after_quantile(0.95, 250.0)),
+                retry: Some(RetryConfig::with_timeout_us(1_500.0)),
+                steer: false,
+            },
+            ..SimConfig::default()
+        });
+        while sim.step() {}
+        let (slots, admitted) = (sim.requests.len() as u64, sim.admitted);
+        assert_eq!(sim.free.len() as u64, slots, "every slot is released");
+        let r = sim.finish();
+        assert_eq!(r.completed, admitted);
+        assert!(r.faults.wasted_attempts > 0, "{:?}", r.faults);
+        assert!(r.faults.hedges > 0, "{:?}", r.faults);
+        assert!(r.faults.retries > 0, "{:?}", r.faults);
+        assert!(r.conservation.exact(), "{:?}", r.conservation);
+        assert!(
+            slots * 10 < admitted,
+            "{slots} slots for {admitted} admitted requests"
+        );
     }
 
     #[test]

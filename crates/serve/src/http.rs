@@ -2,8 +2,9 @@
 //! needs, nothing more. One request per connection (`Connection:
 //! close`), bodies bounded, no chunked encoding.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
+use std::time::Duration;
 
 /// Largest accepted request body. Scenario documents are a few KB;
 /// anything near this bound is abuse, not a job.
@@ -13,6 +14,11 @@ pub const MAX_BODY_BYTES: usize = 1 << 20;
 /// client that never sends `\n` gets a 400 here instead of growing the
 /// connection thread's buffer without limit.
 pub const MAX_LINE_BYTES: usize = 8 << 10;
+
+/// How long one read or write on a connection may block. A client that
+/// connects and then goes quiet gets a `408` after this instead of
+/// holding its connection thread forever.
+pub const IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Headers stop being a request and start being a flood at this count.
 const MAX_HEADERS: usize = 64;
@@ -28,13 +34,46 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
+/// Why [`read_request`] produced no request.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The client sent nothing for [`IO_TIMEOUT`] (with the stream's
+    /// read timeout set to it); callers answer `408 Request Timeout`.
+    TimedOut,
+    /// The bytes are not a request this layer accepts; callers answer
+    /// `400 Bad Request` with the message.
+    Malformed(String),
+}
+
+impl From<String> for ReadError {
+    fn from(message: String) -> Self {
+        Self::Malformed(message)
+    }
+}
+
+impl From<&str> for ReadError {
+    fn from(message: &str) -> Self {
+        Self::Malformed(message.to_string())
+    }
+}
+
+/// Classifies an I/O error while reading `what`: a read timeout is the
+/// client's silence, anything else a broken request.
+fn read_error(what: &str, e: &std::io::Error) -> ReadError {
+    match e.kind() {
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => ReadError::TimedOut,
+        _ => ReadError::Malformed(format!("read {what}: {e}")),
+    }
+}
+
 /// Reads one request off the stream.
 ///
 /// # Errors
 ///
-/// Returns a message describing the malformation; callers answer it
-/// with `400 Bad Request`.
-pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
+/// Returns [`ReadError::TimedOut`] when a read outlasts the stream's
+/// read timeout, else [`ReadError::Malformed`] with a message describing
+/// the malformation.
+pub fn read_request(stream: &TcpStream) -> Result<Request, ReadError> {
     let mut reader = BufReader::new(stream);
     let line = read_line(&mut reader, "request line")?;
     let mut parts = line.split_whitespace();
@@ -48,7 +87,7 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
         .to_string();
     let version = parts.next().ok_or("request line missing a version")?;
     if !version.starts_with("HTTP/1.") {
-        return Err(format!("unsupported protocol {version}"));
+        return Err(format!("unsupported protocol {version}").into());
     }
 
     let mut content_length = 0usize;
@@ -59,7 +98,7 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
             let mut body = vec![0u8; content_length];
             reader
                 .read_exact(&mut body)
-                .map_err(|e| format!("read body: {e}"))?;
+                .map_err(|e| read_error("body", &e))?;
             return Ok(Request { method, path, body });
         }
         let (name, value) = header
@@ -71,22 +110,22 @@ pub fn read_request(stream: &TcpStream) -> Result<Request, String> {
                 .parse()
                 .map_err(|_| format!("bad content-length {:?}", value.trim()))?;
             if content_length > MAX_BODY_BYTES {
-                return Err(format!("body of {content_length} bytes exceeds the limit"));
+                return Err(format!("body of {content_length} bytes exceeds the limit").into());
             }
         }
     }
-    Err("too many headers".to_string())
+    Err("too many headers".into())
 }
 
 /// Reads one `\n`-terminated line of at most [`MAX_LINE_BYTES`].
-fn read_line(reader: &mut impl BufRead, what: &str) -> Result<String, String> {
+fn read_line(reader: &mut impl BufRead, what: &str) -> Result<String, ReadError> {
     let mut line = String::new();
     reader
         .take(MAX_LINE_BYTES as u64)
         .read_line(&mut line)
-        .map_err(|e| format!("read {what}: {e}"))?;
+        .map_err(|e| read_error(what, &e))?;
     if line.len() == MAX_LINE_BYTES && !line.ends_with('\n') {
-        return Err(format!("{what} exceeds {MAX_LINE_BYTES} bytes"));
+        return Err(format!("{what} exceeds {MAX_LINE_BYTES} bytes").into());
     }
     Ok(line)
 }
@@ -133,6 +172,7 @@ fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         409 => "Conflict",
         429 => "Too Many Requests",
         _ => "Internal Server Error",

@@ -10,7 +10,7 @@ use std::thread;
 use um_bench::benchjson::{obj, Json};
 use um_bench::scenario;
 
-use crate::http::{read_request, write_response, Request, Response};
+use crate::http::{read_request, write_response, ReadError, Request, Response, IO_TIMEOUT};
 use crate::service::{JobService, JobStatus, SubmitError};
 
 /// Binds the listener and runs the accept loop forever.
@@ -45,9 +45,20 @@ fn run(listener: TcpListener, service: Arc<JobService>) -> ! {
 }
 
 fn handle_connection(mut stream: TcpStream, service: &JobService) {
+    // A client that goes quiet mid-request (or stops reading the answer)
+    // must not hold this thread forever.
+    if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let response = match read_request(&stream) {
         Ok(req) => route(&req, service),
-        Err(e) => error_json(400, &e),
+        Err(ReadError::TimedOut) => error_json(
+            408,
+            &format!("no request within {} s", IO_TIMEOUT.as_secs()),
+        ),
+        Err(ReadError::Malformed(e)) => error_json(400, &e),
     };
     // The peer may have gone away; nothing useful to do about it.
     let _ = write_response(&mut stream, &response);

@@ -5,18 +5,19 @@
 //! produces; repeat submissions are cache hits that skip re-simulation;
 //! a full admission queue answers 429 with a `Retry-After` hint;
 //! malformed submissions answer 400 with the scenario layer's field-path
-//! errors; and an over-long request line answers 400 instead of hanging.
+//! errors; an over-long request line answers 400 instead of hanging; and
+//! a client that sends nothing is answered 408 and closed.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use um_bench::benchjson::{obj, Json};
 use um_bench::scenario::{self, ScenarioKind};
 use um_serve::client::{self, HttpResponse};
-use um_serve::http::MAX_LINE_BYTES;
+use um_serve::http::{IO_TIMEOUT, MAX_LINE_BYTES};
 use um_serve::server;
 use um_serve::service::{JobService, ServiceConfig};
 
@@ -325,4 +326,33 @@ fn deeply_nested_body_answers_400_and_the_service_keeps_serving() {
     );
     let health = get(addr, "/healthz");
     assert_eq!(health.status, 200);
+}
+
+#[test]
+fn silent_client_is_closed_after_the_io_timeout_and_the_service_keeps_serving() {
+    let (addr, _service) = start(ServiceConfig {
+        workers: 1,
+        queue_depth: 4,
+        retry_after_secs: 1,
+    });
+    let mut silent = TcpStream::connect(addr).expect("connect over loopback");
+    // A server that never times the connection out fails the read, not
+    // the suite.
+    silent
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("set read timeout");
+    let connected = Instant::now();
+    // Other clients are served while the silent one holds its thread.
+    assert_eq!(get(addr, "/healthz").status, 200);
+    let mut raw = String::new();
+    silent
+        .read_to_string(&mut raw)
+        .expect("the server closes a silent connection");
+    let waited = connected.elapsed();
+    assert!(raw.starts_with("HTTP/1.1 408 "), "{raw}");
+    assert!(
+        waited < IO_TIMEOUT + Duration::from_secs(5),
+        "closed after {waited:?}"
+    );
+    assert_eq!(get(addr, "/healthz").status, 200);
 }

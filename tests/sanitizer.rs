@@ -98,6 +98,27 @@ fn corrupted_fault_accounting_trips_the_checker() {
 }
 
 #[test]
+#[should_panic(expected = "request-conservation")]
+fn leaked_request_reference_trips_the_checker() {
+    // Deliberate-violation coverage: a reference that is never dropped
+    // keeps a finished request's slot off the free list, and the
+    // request-conservation checker must abort the run at report time.
+    let mut sim = SystemSim::new(SimConfig {
+        machine: MachineConfig::umanycore(),
+        workload: Workload::social_mix(),
+        rps_per_server: 5_000.0,
+        horizon_us: 5_000.0,
+        warmup_us: 500.0,
+        seed: 3,
+        ..SimConfig::default()
+    });
+    // The first event is the first client arrival: one request in flight.
+    assert!(sim.step(), "the run has arrivals");
+    sim.leak_request_ref_for_sanitizer_test();
+    let _ = sim.run();
+}
+
+#[test]
 fn checked_run_matches_unchecked_semantics() {
     // The checkers observe, never steer: two sanitized runs of the same
     // seed must still be bit-identical (the cross-feature comparison is
