@@ -17,7 +17,9 @@
 //! ```
 //!
 //! `UM_SCALE=quick` / `UM_SEED` apply to whichever scenario runs, the
-//! same way they do for the figure binaries.
+//! same way they do for the figure binaries. An unreadable or invalid
+//! `--scenario` document prints its error (with the offending field's
+//! path) to stderr and exits with status 2, like any other usage error.
 
 use um_bench::benchjson::{obj, validate_bench, Json};
 use um_bench::{sanitizer_check, scenario};
@@ -120,11 +122,15 @@ fn main() {
 
     sanitizer_check();
     let mut s = match (&scenario_file, &registry_name) {
-        (Some(path), _) => {
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            scenario::Scenario::from_json_text(&text).unwrap_or_else(|e| panic!("{path}: {e}"))
-        }
+        (Some(path), _) => std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {path}: {e}"))
+            .and_then(|text| {
+                scenario::Scenario::from_json_text(&text).map_err(|e| format!("{path}: {e}"))
+            })
+            .unwrap_or_else(|e| {
+                eprintln!("um-sweep: {e}");
+                std::process::exit(2);
+            }),
         (None, Some(name)) => scenario::registry::by_name(name).unwrap_or_else(|| {
             eprintln!("um-sweep: no registry scenario named '{name}' (see --list)");
             std::process::exit(2);

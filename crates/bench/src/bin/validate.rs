@@ -7,9 +7,11 @@
 //! ```
 
 use um_arch::MachineConfig;
+use um_bench::scenario::{self, registry, ScenarioKind};
 use um_bench::{banner, scale_from_env};
 use um_stats::summary::geomean;
-use umanycore::experiments::{evaluation, motivation};
+use umanycore::experiments::{evaluation, motivation, parallel};
+use umanycore::SystemSim;
 
 struct Check {
     name: &'static str,
@@ -100,11 +102,24 @@ fn main() {
         hi: 5.5,
     });
 
-    // End-to-end tails at 10K RPS (Figure 14 mid-load).
-    let grid = evaluation::app_grid(10_000.0, scale);
+    // End-to-end tails at 10K RPS (Figure 14 mid-load): the fig14
+    // registry scenario with every app row cut to that load. Each row's
+    // points are [ServerClass, ScaleOut, uManycore].
+    let mut fig14 = registry::fig14();
+    scenario::apply_env(&mut fig14);
+    if let ScenarioKind::Normalized(n) = &mut fig14.kind {
+        for row in &mut n.rows {
+            row.loads = vec![10_000.0];
+        }
+    }
+    let points = fig14.expand().expect("registry scenarios are valid");
+    let reports = parallel::map(points, |_, p| {
+        SystemSim::new(p.as_node().expect("node point").clone()).run()
+    });
+    let grid: Vec<_> = reports.chunks_exact(3).collect();
     let vs_sc: Vec<f64> = grid
         .iter()
-        .map(|row| row.server_class.latency.p99 / row.umanycore.latency.p99)
+        .map(|row| row[0].latency.p99 / row[2].latency.p99)
         .collect();
     checks.push(Check {
         name: "Fig14 tail reduction vs ServerClass @10K",
@@ -115,7 +130,7 @@ fn main() {
     });
     let vs_so: Vec<f64> = grid
         .iter()
-        .map(|row| row.scaleout.latency.p99 / row.umanycore.latency.p99)
+        .map(|row| row[1].latency.p99 / row[2].latency.p99)
         .collect();
     checks.push(Check {
         name: "Fig14 tail reduction vs ScaleOut @10K",

@@ -1,11 +1,12 @@
 //! Shared plumbing for the figure/table regeneration binaries.
 //!
-//! Every binary regenerates one of the paper's tables or figures, and
-//! `um-sweep` regenerates the ones defined in [`scenario::registry`]:
+//! `um-sweep` regenerates the figures and tables defined in
+//! [`scenario::registry`]; every other binary regenerates one of the
+//! paper's remaining tables or figures:
 //!
 //! ```text
-//! cargo run --release -p um-bench --bin fig14
-//! cargo run --release -p um-bench --bin um-sweep -- fig7
+//! cargo run --release -p um-bench --bin um-sweep -- fig14
+//! cargo run --release -p um-bench --bin fig15
 //! ```
 //!
 //! Binaries honour three environment variables:

@@ -21,12 +21,14 @@ use um_sched::{CtxSwitchModel, DequeuePolicy, HedgeConfig, MitigationConfig, Ret
 use um_sim::fault::{FaultPlan, FaultRecipe};
 use um_sim::rng;
 use um_sim::trace::Component;
-use um_stats::summary::geomean;
+use um_stats::summary::{geomean, mean};
 use um_stats::table::{f1, f2, Table};
+use um_workload::apps::SocialNetwork;
 use um_workload::synthetic::SyntheticWorkload;
-use um_workload::ServiceTimeDist;
+use um_workload::{ServiceId, ServiceTimeDist};
 use umanycore::cluster::ClusterNetConfig;
 use umanycore::experiments::cluster::ClusterScale;
+use umanycore::experiments::evaluation::LOADS;
 use umanycore::experiments::{parallel, Scale};
 use umanycore::report::RunReport;
 use umanycore::system::ArrivalProcess;
@@ -164,11 +166,18 @@ impl MachineSpec {
     }
 }
 
+/// Mean handler compute of the fixed-shape synthetic workloads
+/// ([`SyntheticWorkload::paper_suite`]), microseconds.
+const SUITE_MEAN_US: f64 = 100.0;
+
 /// Which request workload the scenario draws from.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum WorkloadSpec {
     /// The uniform SocialNetwork eight-app mix.
     SocialMix,
+    /// One SocialNetwork root service (one of [`SocialNetwork::ALL`]);
+    /// its nested calls still reach the whole graph.
+    SocialApp(ServiceId),
     /// The uniform TrainTicket root-service mix.
     TrainMix,
     /// A synthetic uSuite-style workload: lognormal handler compute with
@@ -183,6 +192,11 @@ pub enum WorkloadSpec {
         /// Maximum blocking RPCs per request.
         max_rpcs: u32,
     },
+    /// [`SyntheticWorkload::paper_suite`]'s exponential workload.
+    SyntheticExp,
+    /// [`SyntheticWorkload::paper_suite`]'s bimodal workload: 90% short
+    /// and 10% ten-times-longer requests.
+    SyntheticBimodal,
 }
 
 impl WorkloadSpec {
@@ -190,6 +204,7 @@ impl WorkloadSpec {
     pub fn build(&self) -> Workload {
         match *self {
             WorkloadSpec::SocialMix => Workload::social_mix(),
+            WorkloadSpec::SocialApp(root) => Workload::social_app(root),
             WorkloadSpec::TrainMix => Workload::train_mix(),
             WorkloadSpec::Synthetic {
                 mean_us,
@@ -201,6 +216,12 @@ impl WorkloadSpec {
                 min_rpcs,
                 max_rpcs,
             )),
+            WorkloadSpec::SyntheticExp => {
+                Workload::Synthetic(SyntheticWorkload::paper_suite(SUITE_MEAN_US)[0].1)
+            }
+            WorkloadSpec::SyntheticBimodal => {
+                Workload::Synthetic(SyntheticWorkload::paper_suite(SUITE_MEAN_US)[2].1)
+            }
         }
     }
 }
@@ -293,7 +314,8 @@ pub struct ClusterSpec {
     pub steer: bool,
 }
 
-/// A machine column of the breakdown table.
+/// A machine column of a breakdown or normalized table (a row of a
+/// machine comparison).
 #[derive(Clone, Debug, PartialEq)]
 pub struct NamedMachine {
     /// Column label.
@@ -313,7 +335,8 @@ pub struct AutoscaleConfig {
     pub pool: bool,
 }
 
-/// A workload row of an [`ScenarioKind::SrptAblation`] sweep.
+/// A workload row of an [`ScenarioKind::SrptAblation`] or
+/// [`ScenarioKind::Normalized`] sweep.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NamedWorkload {
     /// Row label, e.g. `HeavyTail`.
@@ -348,7 +371,90 @@ pub struct GridSpec {
     pub policies: Vec<NamedPolicy>,
 }
 
-/// What the scenario measures — one variant per converted figure binary
+/// The per-point latency statistic a [`NormalizedSpec`] compares.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Metric {
+    /// P99 end-to-end latency, one table section per load.
+    P99,
+    /// Mean end-to-end latency, one table section per load.
+    Mean,
+    /// The P99-to-mean ratio, averaged over each row's loads into one
+    /// table.
+    TailToAvg,
+}
+
+impl Metric {
+    const ALL: [Metric; 3] = [Metric::P99, Metric::Mean, Metric::TailToAvg];
+
+    /// The metric's JSON token.
+    fn label(self) -> &'static str {
+        match self {
+            Metric::P99 => "p99",
+            Metric::Mean => "mean",
+            Metric::TailToAvg => "tail-to-avg",
+        }
+    }
+}
+
+/// How a [`NormalizedSpec`] prints the baseline machine's absolute value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum BaselineUnit {
+    /// Milliseconds.
+    Ms,
+    /// Microseconds.
+    Us,
+    /// The dimensionless metric itself (tail-to-average ratios).
+    Abs,
+}
+
+impl BaselineUnit {
+    const ALL: [BaselineUnit; 3] = [BaselineUnit::Ms, BaselineUnit::Us, BaselineUnit::Abs];
+
+    /// The unit's JSON token and column-header suffix.
+    fn label(self) -> &'static str {
+        match self {
+            BaselineUnit::Ms => "ms",
+            BaselineUnit::Us => "us",
+            BaselineUnit::Abs => "abs",
+        }
+    }
+}
+
+/// A machine comparison normalized to its first machine (Figures 14, 16,
+/// 17, 19 and 20): workload rows × machine columns, where every point of
+/// row *i* runs on the seed `derive_seed(scale.seed, i)`, so the machines
+/// of a row are seed-paired and distinct rows are independent.
+#[derive(Clone, Debug, PartialEq)]
+pub struct NormalizedSpec {
+    /// Table title, e.g. `Figure 14`.
+    pub title: String,
+    /// Caption printed under the title.
+    pub caption: String,
+    /// Header of the row-label column.
+    pub row_header: String,
+    /// The paper's anchors, printed as the closing `paper:` line.
+    pub paper: String,
+    /// The statistic compared.
+    pub metric: Metric,
+    /// When set, the table prints the first machine's absolute value in
+    /// this unit, and a geomean headline compares the last machine with
+    /// each earlier one.
+    pub baseline_unit: Option<BaselineUnit>,
+    /// Workload rows, in display order; each sweeps its own loads.
+    pub rows: Vec<NamedWorkload>,
+    /// Machine columns; the first is the normalization baseline.
+    pub machines: Vec<NamedMachine>,
+}
+
+impl NormalizedSpec {
+    /// Whether the table splits into one section per load: rows sweep
+    /// several loads and the metric is not averaged over them.
+    fn per_load_sections(&self) -> bool {
+        self.metric != Metric::TailToAvg && self.rows.iter().any(|r| r.loads.len() > 1)
+    }
+}
+
+/// What the scenario measures — one variant per converted figure family
 /// plus the generic grid.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScenarioKind {
@@ -408,6 +514,9 @@ pub enum ScenarioKind {
         /// Workload rows; each sweeps its own load list.
         workloads: Vec<NamedWorkload>,
     },
+    /// Machines compared on workload rows, normalized to the first
+    /// machine.
+    Normalized(NormalizedSpec),
     /// The generic `um-sweep` grid.
     Grid(GridSpec),
 }
@@ -423,6 +532,7 @@ impl ScenarioKind {
             ScenarioKind::MachineCompare { .. } => "machine-compare",
             ScenarioKind::Autoscale { .. } => "autoscale",
             ScenarioKind::SrptAblation { .. } => "srpt-ablation",
+            ScenarioKind::Normalized(_) => "normalized",
             ScenarioKind::Grid(_) => "grid",
         }
     }
@@ -433,10 +543,11 @@ impl ScenarioKind {
 pub struct Scenario {
     /// Registry/display name.
     pub name: String,
-    /// The machine every point runs (the breakdown kind's per-column
-    /// machines override it).
+    /// The machine every point runs (the breakdown, machine-compare and
+    /// normalized kinds' machine lists override it).
     pub machine: MachineSpec,
-    /// The request workload.
+    /// The request workload (the srpt-ablation and normalized kinds'
+    /// workload rows override it).
     pub workload: WorkloadSpec,
     /// Horizons, fleet width, master seed.
     pub scale: ScaleSpec,
@@ -578,24 +689,31 @@ fn validate_fault(path: &str, f: &FaultRecipe) -> Result<(), String> {
 }
 
 fn validate_workload(path: &str, w: &WorkloadSpec) -> Result<(), String> {
-    if let WorkloadSpec::Synthetic {
-        mean_us,
-        scv,
-        min_rpcs,
-        max_rpcs,
-    } = *w
-    {
-        check(mean_us.is_finite() && mean_us > 0.0, || {
-            format!("{path}.mean_us: must be a positive time")
-        })?;
-        check(scv.is_finite() && scv > 0.0, || {
-            format!("{path}.scv: must be positive")
-        })?;
-        check(min_rpcs <= max_rpcs, || {
-            format!("{path}.min_rpcs: must not exceed max_rpcs")
-        })?;
+    match *w {
+        WorkloadSpec::SocialApp(root) => check(SocialNetwork::ALL.contains(&root), || {
+            format!("{path}.app: not a SocialNetwork root service")
+        }),
+        WorkloadSpec::Synthetic {
+            mean_us,
+            scv,
+            min_rpcs,
+            max_rpcs,
+        } => {
+            check(mean_us.is_finite() && mean_us > 0.0, || {
+                format!("{path}.mean_us: must be a positive time")
+            })?;
+            check(scv.is_finite() && scv > 0.0, || {
+                format!("{path}.scv: must be positive")
+            })?;
+            check(min_rpcs <= max_rpcs, || {
+                format!("{path}.min_rpcs: must not exceed max_rpcs")
+            })
+        }
+        WorkloadSpec::SocialMix
+        | WorkloadSpec::TrainMix
+        | WorkloadSpec::SyntheticExp
+        | WorkloadSpec::SyntheticBimodal => Ok(()),
     }
-    Ok(())
 }
 
 fn validate_loads(path: &str, loads: &[f64]) -> Result<(), String> {
@@ -603,6 +721,36 @@ fn validate_loads(path: &str, loads: &[f64]) -> Result<(), String> {
     check(loads.iter().all(|&l| l.is_finite() && l > 0.0), || {
         format!("{path}: every load must be a positive rate")
     })
+}
+
+/// A kind's machine list: at least `min` named, valid machines.
+fn validate_machines(path: &str, machines: &[NamedMachine], min: usize) -> Result<(), String> {
+    check(machines.len() >= min, || {
+        format!("{path}: need at least {min} machine(s)")
+    })?;
+    for (i, m) in machines.iter().enumerate() {
+        check(!m.name.is_empty(), || {
+            format!("{path}[{i}].name: must not be empty")
+        })?;
+        validate_machine(&format!("{path}[{i}].machine"), &m.machine)?;
+    }
+    Ok(())
+}
+
+/// A kind's workload rows: at least one, each named, valid and with a
+/// valid load list.
+fn validate_workloads(path: &str, workloads: &[NamedWorkload]) -> Result<(), String> {
+    check(!workloads.is_empty(), || {
+        format!("{path}: must not be empty")
+    })?;
+    for (i, w) in workloads.iter().enumerate() {
+        check(!w.name.is_empty(), || {
+            format!("{path}[{i}].name: must not be empty")
+        })?;
+        validate_workload(&format!("{path}[{i}].workload"), &w.workload)?;
+        validate_loads(&format!("{path}[{i}].loads"), &w.loads)?;
+    }
+    Ok(())
 }
 
 impl Scenario {
@@ -711,16 +859,7 @@ impl Scenario {
                 check(rps.is_finite() && *rps > 0.0, || {
                     "scenario.kind.rps: must be a positive rate".to_string()
                 })?;
-                check(!machines.is_empty(), || {
-                    "scenario.kind.machines: must not be empty".to_string()
-                })?;
-                for (i, m) in machines.iter().enumerate() {
-                    check(!m.name.is_empty(), || {
-                        format!("scenario.kind.machines[{i}].name: must not be empty")
-                    })?;
-                    validate_machine(&format!("scenario.kind.machines[{i}].machine"), &m.machine)?;
-                }
-                Ok(())
+                validate_machines("scenario.kind.machines", machines, 1)
             }
             ScenarioKind::FaultTail {
                 rps,
@@ -755,18 +894,8 @@ impl Scenario {
             }
             ScenarioKind::MachineCompare { loads, machines } => {
                 validate_loads("scenario.kind.loads", loads)?;
-                check(machines.len() >= 2, || {
-                    "scenario.kind.machines: need at least two rows (the headline ratios \
-                     divide the first row by the last)"
-                        .to_string()
-                })?;
-                for (i, m) in machines.iter().enumerate() {
-                    check(!m.name.is_empty(), || {
-                        format!("scenario.kind.machines[{i}].name: must not be empty")
-                    })?;
-                    validate_machine(&format!("scenario.kind.machines[{i}].machine"), &m.machine)?;
-                }
-                Ok(())
+                // The headline ratios divide the first row by the last.
+                validate_machines("scenario.kind.machines", machines, 2)
             }
             ScenarioKind::Autoscale {
                 rps,
@@ -790,18 +919,21 @@ impl Scenario {
                 Ok(())
             }
             ScenarioKind::SrptAblation { workloads } => {
-                check(!workloads.is_empty(), || {
-                    "scenario.kind.workloads: must not be empty".to_string()
-                })?;
-                for (i, w) in workloads.iter().enumerate() {
-                    check(!w.name.is_empty(), || {
-                        format!("scenario.kind.workloads[{i}].name: must not be empty")
-                    })?;
-                    validate_workload(
-                        &format!("scenario.kind.workloads[{i}].workload"),
-                        &w.workload,
-                    )?;
-                    validate_loads(&format!("scenario.kind.workloads[{i}].loads"), &w.loads)?;
+                validate_workloads("scenario.kind.workloads", workloads)
+            }
+            ScenarioKind::Normalized(n) => {
+                validate_workloads("scenario.kind.rows", &n.rows)?;
+                // Every column is normalized to the first.
+                validate_machines("scenario.kind.machines", &n.machines, 2)?;
+                if n.per_load_sections() {
+                    for (i, r) in n.rows.iter().enumerate() {
+                        check(r.loads == n.rows[0].loads, || {
+                            format!(
+                                "scenario.kind.rows[{i}].loads: per-load sections need every \
+                                 row to sweep rows[0].loads"
+                            )
+                        })?;
+                    }
                 }
                 Ok(())
             }
@@ -889,6 +1021,30 @@ impl Scenario {
         }
     }
 
+    /// A single-node point: `machine` serving `workload` at `rps` per
+    /// server on `seed`, at the scenario's scale and with its faults and
+    /// mitigation. Kinds override the fields they sweep.
+    fn node_config(
+        &self,
+        machine: MachineConfig,
+        workload: &WorkloadSpec,
+        rps: f64,
+        seed: u64,
+    ) -> SimConfig {
+        SimConfig {
+            machine,
+            workload: workload.build(),
+            rps_per_server: rps,
+            servers: self.scale.servers,
+            horizon_us: self.scale.horizon_us,
+            warmup_us: self.scale.warmup_us,
+            seed,
+            fault_plan: self.point_plan(seed),
+            mitigation: self.mitigation.build(),
+            ..SimConfig::default()
+        }
+    }
+
     fn cluster_config(
         &self,
         c: &ClusterSpec,
@@ -945,16 +1101,10 @@ impl Scenario {
                         for contention in [true, false] {
                             let mut machine = self.machine.build();
                             machine.icn = icn;
+                            let seed = rng::derive_seed(scale.seed, li as u64);
                             points.push(node_point(SimConfig {
-                                machine,
-                                workload: self.workload.build(),
-                                rps_per_server: rps,
-                                servers: scale.servers,
-                                horizon_us: scale.horizon_us,
-                                warmup_us: scale.warmup_us,
-                                seed: rng::derive_seed(scale.seed, li as u64),
                                 icn_contention: contention,
-                                ..SimConfig::default()
+                                ..self.node_config(machine, &self.workload, rps, seed)
                             }));
                         }
                     }
@@ -963,16 +1113,8 @@ impl Scenario {
             ScenarioKind::Breakdown { rps, machines } => {
                 for m in machines {
                     points.push(node_point(SimConfig {
-                        machine: m.machine.build(),
-                        workload: self.workload.build(),
-                        rps_per_server: *rps,
-                        servers: scale.servers,
-                        horizon_us: scale.horizon_us,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
                         trace: true,
-                        fault_plan: self.point_plan(scale.seed),
-                        ..SimConfig::default()
+                        ..self.node_config(m.machine.build(), &self.workload, *rps, scale.seed)
                     }));
                 }
             }
@@ -1001,16 +1143,9 @@ impl Scenario {
                         },
                     ] {
                         points.push(node_point(SimConfig {
-                            machine: self.machine.build(),
-                            workload: self.workload.build(),
-                            rps_per_server: *rps,
-                            servers: scale.servers,
-                            horizon_us: scale.horizon_us,
-                            warmup_us: scale.warmup_us,
-                            seed,
                             fault_plan: plan.clone(),
                             mitigation,
-                            ..SimConfig::default()
+                            ..self.node_config(self.machine.build(), &self.workload, *rps, seed)
                         }));
                     }
                 }
@@ -1035,17 +1170,13 @@ impl Scenario {
                 // headline ratios stay paired.
                 for &rps in loads {
                     for m in machines {
-                        points.push(node_point(SimConfig {
-                            machine: m.machine.build(),
-                            workload: self.workload.build(),
-                            rps_per_server: rps,
-                            servers: scale.servers,
-                            horizon_us: scale.horizon_us,
-                            warmup_us: scale.warmup_us,
-                            seed: scale.seed,
-                            fault_plan: self.point_plan(scale.seed),
-                            ..SimConfig::default()
-                        }));
+                        let machine = m.machine.build();
+                        points.push(node_point(self.node_config(
+                            machine,
+                            &self.workload,
+                            rps,
+                            scale.seed,
+                        )));
                     }
                 }
             }
@@ -1058,20 +1189,13 @@ impl Scenario {
                     let mut machine = self.machine.build();
                     machine.memory_pool = cfg.pool;
                     points.push(node_point(SimConfig {
-                        machine,
-                        workload: self.workload.build(),
-                        rps_per_server: *rps,
-                        servers: scale.servers,
                         // Multiply at expansion so UM_SCALE=quick
                         // composes: quick sets the base horizon, the
                         // kind stretches it over several burst cycles.
                         horizon_us: scale.horizon_us * *horizon_factor,
-                        warmup_us: scale.warmup_us,
-                        seed: scale.seed,
                         arrivals: ArrivalProcess::Bursty,
                         autoscale: cfg.autoscale,
-                        fault_plan: self.point_plan(scale.seed),
-                        ..SimConfig::default()
+                        ..self.node_config(machine, &self.workload, *rps, scale.seed)
                     }));
                 }
             }
@@ -1081,18 +1205,29 @@ impl Scenario {
                 for w in workloads {
                     for &rps in &w.loads {
                         for policy in [DequeuePolicy::Fcfs, DequeuePolicy::Srpt] {
+                            let machine = self.machine.build();
                             points.push(node_point(SimConfig {
-                                machine: self.machine.build(),
-                                workload: w.workload.build(),
-                                rps_per_server: rps,
-                                servers: scale.servers,
-                                horizon_us: scale.horizon_us,
-                                warmup_us: scale.warmup_us,
-                                seed: scale.seed,
                                 dequeue_policy: policy,
-                                fault_plan: self.point_plan(scale.seed),
-                                ..SimConfig::default()
+                                ..self.node_config(machine, &w.workload, rps, scale.seed)
                             }));
+                        }
+                    }
+                }
+            }
+            ScenarioKind::Normalized(n) => {
+                // Row i's points share its derived seed, so the machines
+                // of a row are paired and distinct rows independent.
+                for (i, row) in n.rows.iter().enumerate() {
+                    let seed = rng::derive_seed(scale.seed, i as u64);
+                    for &rps in &row.loads {
+                        for m in &n.machines {
+                            let machine = m.machine.build();
+                            points.push(node_point(self.node_config(
+                                machine,
+                                &row.workload,
+                                rps,
+                                seed,
+                            )));
                         }
                     }
                 }
@@ -1106,17 +1241,10 @@ impl Scenario {
                                     rng::derive_seed(scale.seed, axis_seed),
                                     li as u64,
                                 );
+                                let machine = self.machine.build();
                                 points.push(node_point(SimConfig {
-                                    machine: self.machine.build(),
-                                    workload: self.workload.build(),
-                                    rps_per_server: rps,
-                                    servers: scale.servers,
-                                    horizon_us: scale.horizon_us,
-                                    warmup_us: scale.warmup_us,
-                                    seed,
-                                    fault_plan: self.point_plan(seed),
                                     mitigation: policy.mitigation.build(),
-                                    ..SimConfig::default()
+                                    ..self.node_config(machine, &self.workload, rps, seed)
                                 }));
                             }
                         }
@@ -1191,6 +1319,13 @@ pub struct ScenarioOutput {
     pub points: Option<Json>,
 }
 
+impl ScenarioOutput {
+    /// A text-only output (every kind but the grid).
+    fn text(text: String) -> Self {
+        Self { text, points: None }
+    }
+}
+
 /// Runs the scenario on the process-default worker pool (`UM_THREADS`).
 ///
 /// # Errors
@@ -1261,6 +1396,7 @@ fn run_impl(
         }
         ScenarioKind::Autoscale { configs, .. } => render_autoscale(configs, &reports),
         ScenarioKind::SrptAblation { workloads } => render_srpt_ablation(workloads, &reports),
+        ScenarioKind::Normalized(n) => render_normalized(n, &reports),
         ScenarioKind::Grid(g) => render_grid(s, g, &reports),
     })
 }
@@ -1284,10 +1420,7 @@ fn render_fig7(loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
     out.push_str(&t.render());
     out.push('\n');
     out.push_str("paper at 50K RPS: mesh 14.7x, fat tree 7.5x\n");
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
+    ScenarioOutput::text(out)
 }
 
 fn render_breakdown(machines: &[NamedMachine], reports: &[PointReport]) -> ScenarioOutput {
@@ -1336,10 +1469,7 @@ fn render_breakdown(machines: &[NamedMachine], reports: &[PointReport]) -> Scena
          as the callee's components (storage-service, compute, rpc-processing),\n\
          never as caller queue-wait: the rows sum to the mean latency exactly.\n",
     );
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
+    ScenarioOutput::text(out)
 }
 
 fn render_fault_tail(rps: f64, drop_rates: &[f64], reports: &[PointReport]) -> ScenarioOutput {
@@ -1387,10 +1517,7 @@ fn render_fault_tail(rps: f64, drop_rates: &[f64], reports: &[PointReport]) -> S
         "offered load {rps:.0} RPS/server; all runs conserve latency to the cycle (checked: {})\n",
         f2(baseline.conservation.checked as f64),
     ));
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
+    ScenarioOutput::text(out)
 }
 
 fn render_cluster_tail(s: &Scenario, loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
@@ -1436,10 +1563,7 @@ fn render_cluster_tail(s: &Scenario, loads: &[f64], reports: &[PointReport]) -> 
          queue while random routing pays at the p99 — the uqSim/CloudNativeSim-style\n\
          cluster result, with a many-core package (not a single worker) per node.\n",
     );
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
+    ScenarioOutput::text(out)
 }
 
 fn render_machine_compare(
@@ -1488,10 +1612,7 @@ fn render_machine_compare(
         geomean(&avg_ratio),
         geomean(&tail_ratio)
     ));
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
+    ScenarioOutput::text(out)
 }
 
 fn render_autoscale(configs: &[AutoscaleConfig], reports: &[PointReport]) -> ScenarioOutput {
@@ -1523,10 +1644,7 @@ fn render_autoscale(configs: &[AutoscaleConfig], reports: &[PointReport]) -> Sce
         "paper: snapshots cut instance boot from >300 ms to <10 ms (§3.5), which\n\
          is what lets the system absorb the Figure 2 bursts without tail spikes.\n",
     );
-    ScenarioOutput {
-        text: out,
-        points: None,
-    }
+    ScenarioOutput::text(out)
 }
 
 fn render_srpt_ablation(workloads: &[NamedWorkload], reports: &[PointReport]) -> ScenarioOutput {
@@ -1563,10 +1681,113 @@ fn render_srpt_ablation(workloads: &[NamedWorkload], reports: &[PointReport]) ->
          the policies coincide (ratio 1.00); near saturation SRPT actively\n\
          *hurts* the P99 by starving long requests. FCFS is the right choice.\n",
     );
-    ScenarioOutput {
-        text: out,
-        points: None,
+    ScenarioOutput::text(out)
+}
+
+/// One normalized table: a row per `(label, per-machine values)`, each
+/// value divided by the row's first; plus, when the spec prints the
+/// baseline's absolute value, the geomean headline line.
+fn render_normalized_table(
+    n: &NormalizedSpec,
+    rows: &[(&str, Vec<f64>)],
+) -> (String, Option<String>) {
+    let mut cols = vec![n.row_header.clone()];
+    if let Some(unit) = n.baseline_unit {
+        cols.push(format!("{}({})", n.machines[0].name, unit.label()));
     }
+    cols.extend(n.machines.iter().map(|m| m.name.clone()));
+    let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
+    let mut t = Table::with_columns(&cols);
+    let last = n.machines.len() - 1;
+    // vs_last[j]: per row, machine j's normalized value over the last's.
+    let mut vs_last = vec![Vec::new(); last];
+    for (label, values) in rows {
+        let norm: Vec<f64> = values.iter().map(|v| v / values[0]).collect();
+        let mut cells = vec![label.to_string()];
+        match n.baseline_unit {
+            Some(BaselineUnit::Ms) => cells.push(f1(values[0] / 1000.0)),
+            Some(BaselineUnit::Us | BaselineUnit::Abs) => cells.push(f1(values[0])),
+            None => {}
+        }
+        cells.extend(norm.iter().map(|&v| f2(v)));
+        t.row(cells);
+        for (j, ratios) in vs_last.iter_mut().enumerate() {
+            ratios.push(norm[j] / norm[last]);
+        }
+    }
+    let headline = n.baseline_unit.map(|_| {
+        let (what, vs) = match n.metric {
+            Metric::P99 => ("tail reduction:", "vs"),
+            Metric::Mean => ("average reduction:", "vs"),
+            Metric::TailToAvg => ("ratio is", "lower than"),
+        };
+        let parts: Vec<String> = vs_last
+            .iter()
+            .zip(&n.machines)
+            .map(|(ratios, m)| {
+                // A row with no recorded requests has no ratio to average.
+                let g = if ratios.iter().all(|&r| r > 0.0) {
+                    geomean(ratios)
+                } else {
+                    f64::NAN
+                };
+                format!("{g:.1}x {vs} {}", m.name)
+            })
+            .collect();
+        format!("{} {what} {}\n", n.machines[last].name, parts.join(", "))
+    });
+    (t.render(), headline)
+}
+
+fn render_normalized(n: &NormalizedSpec, reports: &[PointReport]) -> ScenarioOutput {
+    let m = n.machines.len();
+    let value = |r: &PointReport| {
+        let r = r.node();
+        match n.metric {
+            Metric::P99 => r.latency.p99,
+            Metric::Mean => r.latency.mean,
+            Metric::TailToAvg => r.tail_to_avg(),
+        }
+    };
+    // Each row's reports in expansion order: per load, one per machine.
+    let mut rest = reports;
+    let runs: Vec<(&str, &[PointReport])> = n
+        .rows
+        .iter()
+        .map(|row| {
+            let (mine, tail) = rest.split_at(row.loads.len() * m);
+            rest = tail;
+            (row.name.as_str(), mine)
+        })
+        .collect();
+    let mut out = header_text(&n.title, &n.caption);
+    if n.per_load_sections() {
+        for (l, &rps) in n.rows[0].loads.iter().enumerate() {
+            let rows: Vec<(&str, Vec<f64>)> = runs
+                .iter()
+                .map(|&(name, r)| (name, r[l * m..(l + 1) * m].iter().map(value).collect()))
+                .collect();
+            let (table, headline) = render_normalized_table(n, &rows);
+            out.push_str(&format!("-- load {:.0}K RPS --\n{table}", rps / 1000.0));
+            out.push_str(&headline.unwrap_or_default());
+            out.push('\n');
+        }
+    } else {
+        // One value per (row, machine): its mean over the row's loads.
+        let rows: Vec<(&str, Vec<f64>)> = runs
+            .iter()
+            .map(|&(name, r)| {
+                let per_load = |j: usize| r[j..].iter().step_by(m).map(value).collect::<Vec<_>>();
+                (name, (0..m).map(|j| mean(&per_load(j))).collect())
+            })
+            .collect();
+        let (table, headline) = render_normalized_table(n, &rows);
+        out.push_str(&table);
+        out.push('\n');
+        out.push_str(&headline.unwrap_or_default());
+    }
+    out.push_str(&format!("paper: {}\n", n.paper));
+    ScenarioOutput::text(out)
 }
 
 fn render_grid(s: &Scenario, g: &GridSpec, reports: &[PointReport]) -> ScenarioOutput {
@@ -1712,6 +1933,10 @@ fn num_json(v: f64) -> Json {
     Json::Num(v)
 }
 
+fn f64s_json(v: &[f64]) -> Json {
+    Json::Arr(v.iter().map(|&x| num_json(x)).collect())
+}
+
 fn uint_json(v: u64) -> Json {
     Json::Num(v as f64)
 }
@@ -1750,6 +1975,17 @@ fn machine_to_json(m: &MachineSpec) -> Json {
 fn workload_to_json(w: &WorkloadSpec) -> Json {
     match *w {
         WorkloadSpec::SocialMix => obj(vec![("type", Json::Str("social-mix".into()))]),
+        WorkloadSpec::SocialApp(root) => obj(vec![
+            ("type", Json::Str("social-app".into())),
+            (
+                "app",
+                Json::Str(SocialNetwork::new().profile(root).name.to_string()),
+            ),
+        ]),
+        WorkloadSpec::SyntheticExp => obj(vec![("type", Json::Str("synthetic-exp".into()))]),
+        WorkloadSpec::SyntheticBimodal => {
+            obj(vec![("type", Json::Str("synthetic-bimodal".into()))])
+        }
         WorkloadSpec::TrainMix => obj(vec![("type", Json::Str("train-mix".into()))]),
         WorkloadSpec::Synthetic {
             mean_us,
@@ -1940,13 +2176,25 @@ fn named_machines_to_json(machines: &[NamedMachine]) -> Json {
     )
 }
 
+fn named_workloads_to_json(workloads: &[NamedWorkload]) -> Json {
+    Json::Arr(
+        workloads
+            .iter()
+            .map(|w| {
+                obj(vec![
+                    ("name", Json::Str(w.name.clone())),
+                    ("workload", workload_to_json(&w.workload)),
+                    ("loads", f64s_json(&w.loads)),
+                ])
+            })
+            .collect(),
+    )
+}
+
 fn kind_to_json(k: &ScenarioKind) -> Json {
     let mut fields = vec![("type", Json::Str(k.tag().into()))];
     fields.extend(match k {
-        ScenarioKind::Fig7 { loads } => vec![(
-            "loads",
-            Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-        )],
+        ScenarioKind::Fig7 { loads } => vec![("loads", f64s_json(loads))],
         ScenarioKind::Breakdown { rps, machines } => vec![
             ("rps", num_json(*rps)),
             ("machines", named_machines_to_json(machines)),
@@ -1957,21 +2205,12 @@ fn kind_to_json(k: &ScenarioKind) -> Json {
             retry_timeout_us,
         } => vec![
             ("rps", num_json(*rps)),
-            (
-                "drop_rates",
-                Json::Arr(drop_rates.iter().map(|&p| num_json(p)).collect()),
-            ),
+            ("drop_rates", f64s_json(drop_rates)),
             ("retry_timeout_us", num_json(*retry_timeout_us)),
         ],
-        ScenarioKind::ClusterTail { loads } => vec![(
-            "loads",
-            Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-        )],
+        ScenarioKind::ClusterTail { loads } => vec![("loads", f64s_json(loads))],
         ScenarioKind::MachineCompare { loads, machines } => vec![
-            (
-                "loads",
-                Json::Arr(loads.iter().map(|&l| num_json(l)).collect()),
-            ),
+            ("loads", f64s_json(loads)),
             ("machines", named_machines_to_json(machines)),
         ],
         ScenarioKind::Autoscale {
@@ -1997,29 +2236,26 @@ fn kind_to_json(k: &ScenarioKind) -> Json {
                 ),
             ),
         ],
-        ScenarioKind::SrptAblation { workloads } => vec![(
-            "workloads",
-            Json::Arr(
-                workloads
-                    .iter()
-                    .map(|w| {
-                        obj(vec![
-                            ("name", Json::Str(w.name.clone())),
-                            ("workload", workload_to_json(&w.workload)),
-                            (
-                                "loads",
-                                Json::Arr(w.loads.iter().map(|&l| num_json(l)).collect()),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        )],
+        ScenarioKind::SrptAblation { workloads } => {
+            vec![("workloads", named_workloads_to_json(workloads))]
+        }
+        ScenarioKind::Normalized(n) => {
+            let mut fields = vec![
+                ("title", Json::Str(n.title.clone())),
+                ("caption", Json::Str(n.caption.clone())),
+                ("row_header", Json::Str(n.row_header.clone())),
+                ("paper", Json::Str(n.paper.clone())),
+                ("metric", Json::Str(n.metric.label().into())),
+            ];
+            if let Some(unit) = n.baseline_unit {
+                fields.push(("baseline_unit", Json::Str(unit.label().into())));
+            }
+            fields.push(("rows", named_workloads_to_json(&n.rows)));
+            fields.push(("machines", named_machines_to_json(&n.machines)));
+            fields
+        }
         ScenarioKind::Grid(g) => vec![
-            (
-                "loads",
-                Json::Arr(g.loads.iter().map(|&l| num_json(l)).collect()),
-            ),
+            ("loads", f64s_json(&g.loads)),
             (
                 "seeds",
                 Json::Arr(g.seeds.iter().map(|&s| uint_json(s)).collect()),
@@ -2088,9 +2324,30 @@ fn p_obj<'a>(v: &'a Json, path: &str, allowed: &[&str]) -> Result<&'a Json, Stri
     Ok(v)
 }
 
-fn p_get<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, String> {
+/// Parses the required field `key` of the object `v` (at `path`) with
+/// `parse`, which reports errors at `{path}.{key}`.
+fn p_field<'a, T>(
+    v: &'a Json,
+    path: &str,
+    key: &str,
+    parse: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+) -> Result<T, String> {
+    let field = v
+        .get(key)
+        .ok_or_else(|| format!("{path}: missing field `{key}`"))?;
+    parse(field, &format!("{path}.{key}"))
+}
+
+/// [`p_field`] for an optional field: `None` when `key` is absent.
+fn p_opt<'a, T>(
+    v: &'a Json,
+    path: &str,
+    key: &str,
+    parse: impl FnOnce(&'a Json, &str) -> Result<T, String>,
+) -> Result<Option<T>, String> {
     v.get(key)
-        .ok_or_else(|| format!("{path}: missing field `{key}`"))
+        .map(|x| parse(x, &format!("{path}.{key}")))
+        .transpose()
 }
 
 fn p_num(v: &Json, path: &str) -> Result<f64, String> {
@@ -2146,47 +2403,34 @@ fn machine_from_json(v: &Json, path: &str) -> Result<MachineSpec, String> {
         path,
         &["base", "shape", "rq_capacity", "ctx_switch_cycles", "icn"],
     )?;
-    let base = match p_str(p_get(v, path, "base")?, &format!("{path}.base"))?.as_str() {
+    let base = match p_field(v, path, "base", p_str)?.as_str() {
         "umanycore" => MachineBase::Umanycore,
         "scaleout" => MachineBase::Scaleout,
         "server-class-iso-power" => MachineBase::ServerClassIsoPower,
         "server-class-iso-area" => MachineBase::ServerClassIsoArea,
         other => return Err(format!("{path}.base: unknown machine `{other}`")),
     };
-    let shape = match v.get("shape") {
-        None => None,
-        Some(s) => {
-            let spath = format!("{path}.shape");
-            let dims = p_arr(s, &spath)?;
-            if dims.len() != 3 {
-                return Err(format!(
-                    "{spath}: expected [cores_per_village, villages_per_cluster, clusters]"
-                ));
-            }
-            let mut out = [0usize; 3];
-            for (i, d) in dims.iter().enumerate() {
-                out[i] = p_usize(d, &format!("{spath}[{i}]"))?;
-            }
-            Some(out)
+    let shape = p_opt(v, path, "shape", |s, spath| {
+        let dims = p_arr(s, spath)?;
+        if dims.len() != 3 {
+            return Err(format!(
+                "{spath}: expected [cores_per_village, villages_per_cluster, clusters]"
+            ));
         }
-    };
-    let rq_capacity = v
-        .get("rq_capacity")
-        .map(|n| p_usize(n, &format!("{path}.rq_capacity")))
-        .transpose()?;
-    let ctx_switch_cycles = v
-        .get("ctx_switch_cycles")
-        .map(|n| p_uint(n, &format!("{path}.ctx_switch_cycles")))
-        .transpose()?;
-    let icn = match v.get("icn") {
-        None => None,
-        Some(i) => Some(match p_str(i, &format!("{path}.icn"))?.as_str() {
-            "mesh" => IcnKind::Mesh,
-            "fat-tree" => IcnKind::FatTree,
-            "leaf-spine" => IcnKind::LeafSpine,
-            other => return Err(format!("{path}.icn: unknown interconnect `{other}`")),
-        }),
-    };
+        let mut out = [0usize; 3];
+        for (i, d) in dims.iter().enumerate() {
+            out[i] = p_usize(d, &format!("{spath}[{i}]"))?;
+        }
+        Ok(out)
+    })?;
+    let rq_capacity = p_opt(v, path, "rq_capacity", p_usize)?;
+    let ctx_switch_cycles = p_opt(v, path, "ctx_switch_cycles", p_uint)?;
+    let icn = p_opt(v, path, "icn", |i, ipath| match p_str(i, ipath)?.as_str() {
+        "mesh" => Ok(IcnKind::Mesh),
+        "fat-tree" => Ok(IcnKind::FatTree),
+        "leaf-spine" => Ok(IcnKind::LeafSpine),
+        other => Err(format!("{ipath}: unknown interconnect `{other}`")),
+    })?;
     Ok(MachineSpec {
         base,
         shape,
@@ -2197,23 +2441,35 @@ fn machine_from_json(v: &Json, path: &str) -> Result<MachineSpec, String> {
 }
 
 fn workload_from_json(v: &Json, path: &str) -> Result<WorkloadSpec, String> {
-    let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
+    let kind = p_field(v, path, "type", p_str)?;
+    let fieldless = [
+        ("social-mix", WorkloadSpec::SocialMix),
+        ("train-mix", WorkloadSpec::TrainMix),
+        ("synthetic-exp", WorkloadSpec::SyntheticExp),
+        ("synthetic-bimodal", WorkloadSpec::SyntheticBimodal),
+    ];
+    if let Some(&(_, w)) = fieldless.iter().find(|(tag, _)| *tag == kind) {
+        p_obj(v, path, &["type"])?;
+        return Ok(w);
+    }
     match kind.as_str() {
-        "social-mix" => {
-            p_obj(v, path, &["type"])?;
-            Ok(WorkloadSpec::SocialMix)
-        }
-        "train-mix" => {
-            p_obj(v, path, &["type"])?;
-            Ok(WorkloadSpec::TrainMix)
+        "social-app" => {
+            p_obj(v, path, &["type", "app"])?;
+            let name = p_field(v, path, "app", p_str)?;
+            let apps = SocialNetwork::new();
+            SocialNetwork::ALL
+                .into_iter()
+                .find(|&root| apps.profile(root).name == name)
+                .map(WorkloadSpec::SocialApp)
+                .ok_or_else(|| format!("{path}.app: unknown SocialNetwork app `{name}`"))
         }
         "synthetic" => {
             p_obj(v, path, &["type", "mean_us", "scv", "min_rpcs", "max_rpcs"])?;
             Ok(WorkloadSpec::Synthetic {
-                mean_us: p_num(p_get(v, path, "mean_us")?, &format!("{path}.mean_us"))?,
-                scv: p_num(p_get(v, path, "scv")?, &format!("{path}.scv"))?,
-                min_rpcs: p_u32(p_get(v, path, "min_rpcs")?, &format!("{path}.min_rpcs"))?,
-                max_rpcs: p_u32(p_get(v, path, "max_rpcs")?, &format!("{path}.max_rpcs"))?,
+                mean_us: p_field(v, path, "mean_us", p_num)?,
+                scv: p_field(v, path, "scv", p_num)?,
+                min_rpcs: p_field(v, path, "min_rpcs", p_u32)?,
+                max_rpcs: p_field(v, path, "max_rpcs", p_u32)?,
             })
         }
         other => Err(format!("{path}.type: unknown workload `{other}`")),
@@ -2223,46 +2479,30 @@ fn workload_from_json(v: &Json, path: &str) -> Result<WorkloadSpec, String> {
 fn scale_from_json(v: &Json, path: &str) -> Result<ScaleSpec, String> {
     p_obj(v, path, &["horizon_us", "warmup_us", "servers", "seed"])?;
     Ok(ScaleSpec {
-        horizon_us: p_num(p_get(v, path, "horizon_us")?, &format!("{path}.horizon_us"))?,
-        warmup_us: p_num(p_get(v, path, "warmup_us")?, &format!("{path}.warmup_us"))?,
-        servers: p_usize(p_get(v, path, "servers")?, &format!("{path}.servers"))?,
-        seed: p_uint(p_get(v, path, "seed")?, &format!("{path}.seed"))?,
+        horizon_us: p_field(v, path, "horizon_us", p_num)?,
+        warmup_us: p_field(v, path, "warmup_us", p_num)?,
+        servers: p_field(v, path, "servers", p_usize)?,
+        seed: p_field(v, path, "seed", p_uint)?,
     })
 }
 
 fn mitigation_from_json(v: &Json, path: &str) -> Result<MitigationSpec, String> {
     p_obj(v, path, &["hedge_delay_us", "retry", "steer"])?;
-    let hedge_delay_us = v
-        .get("hedge_delay_us")
-        .map(|n| p_num(n, &format!("{path}.hedge_delay_us")))
-        .transpose()?;
-    let retry = match v.get("retry") {
-        None => None,
-        Some(r) => {
-            let rpath = format!("{path}.retry");
-            p_obj(
-                r,
-                &rpath,
-                &["timeout_us", "backoff", "max_attempts", "budget_fraction"],
-            )?;
-            Some(RetrySpec {
-                timeout_us: p_num(
-                    p_get(r, &rpath, "timeout_us")?,
-                    &format!("{rpath}.timeout_us"),
-                )?,
-                backoff: p_num(p_get(r, &rpath, "backoff")?, &format!("{rpath}.backoff"))?,
-                max_attempts: p_u32(
-                    p_get(r, &rpath, "max_attempts")?,
-                    &format!("{rpath}.max_attempts"),
-                )?,
-                budget_fraction: p_num(
-                    p_get(r, &rpath, "budget_fraction")?,
-                    &format!("{rpath}.budget_fraction"),
-                )?,
-            })
-        }
-    };
-    let steer = p_bool(p_get(v, path, "steer")?, &format!("{path}.steer"))?;
+    let hedge_delay_us = p_opt(v, path, "hedge_delay_us", p_num)?;
+    let retry = p_opt(v, path, "retry", |r, rpath| {
+        p_obj(
+            r,
+            rpath,
+            &["timeout_us", "backoff", "max_attempts", "budget_fraction"],
+        )?;
+        Ok(RetrySpec {
+            timeout_us: p_field(r, rpath, "timeout_us", p_num)?,
+            backoff: p_field(r, rpath, "backoff", p_num)?,
+            max_attempts: p_field(r, rpath, "max_attempts", p_u32)?,
+            budget_fraction: p_field(r, rpath, "budget_fraction", p_num)?,
+        })
+    })?;
+    let steer = p_field(v, path, "steer", p_bool)?;
     Ok(MitigationSpec {
         hedge_delay_us,
         retry,
@@ -2272,13 +2512,13 @@ fn mitigation_from_json(v: &Json, path: &str) -> Result<MitigationSpec, String> 
 
 fn routing_from_json(v: &Json, path: &str) -> Result<NamedRouting, String> {
     p_obj(v, path, &["name", "policy", "d"])?;
-    let name = p_str(p_get(v, path, "name")?, &format!("{path}.name"))?;
-    let policy = p_str(p_get(v, path, "policy")?, &format!("{path}.policy"))?;
+    let name = p_field(v, path, "name", p_str)?;
+    let policy = p_field(v, path, "policy", p_str)?;
     let policy = match policy.as_str() {
         "random" => RoutingPolicy::Random,
         "round-robin" => RoutingPolicy::RoundRobin,
         "jsq" => RoutingPolicy::JsqD {
-            d: p_usize(p_get(v, path, "d")?, &format!("{path}.d"))?,
+            d: p_field(v, path, "d", p_usize)?,
         },
         "central-queue" => RoutingPolicy::CentralQueue,
         other => return Err(format!("{path}.policy: unknown policy `{other}`")),
@@ -2295,40 +2535,33 @@ fn cluster_from_json(v: &Json, path: &str) -> Result<ClusterSpec, String> {
         path,
         &["nodes", "routing", "max_in_flight", "jitter", "steer"],
     )?;
-    let routing = p_arr(p_get(v, path, "routing")?, &format!("{path}.routing"))?
+    let routing = p_field(v, path, "routing", p_arr)?
         .iter()
         .enumerate()
         .map(|(i, r)| routing_from_json(r, &format!("{path}.routing[{i}]")))
         .collect::<Result<Vec<_>, _>>()?;
-    let jitter = match v.get("jitter") {
-        None => None,
-        Some(j) => {
-            let jpath = format!("{path}.jitter");
-            p_obj(j, &jpath, &["mean_us", "scv"])?;
-            Some(JitterSpec {
-                mean_us: p_num(p_get(j, &jpath, "mean_us")?, &format!("{jpath}.mean_us"))?,
-                scv: p_num(p_get(j, &jpath, "scv")?, &format!("{jpath}.scv"))?,
-            })
-        }
-    };
+    let jitter = p_opt(v, path, "jitter", |j, jpath| {
+        p_obj(j, jpath, &["mean_us", "scv"])?;
+        Ok(JitterSpec {
+            mean_us: p_field(j, jpath, "mean_us", p_num)?,
+            scv: p_field(j, jpath, "scv", p_num)?,
+        })
+    })?;
     Ok(ClusterSpec {
-        nodes: p_usize(p_get(v, path, "nodes")?, &format!("{path}.nodes"))?,
+        nodes: p_field(v, path, "nodes", p_usize)?,
         routing,
-        max_in_flight: v
-            .get("max_in_flight")
-            .map(|n| p_usize(n, &format!("{path}.max_in_flight")))
-            .transpose()?,
+        max_in_flight: p_opt(v, path, "max_in_flight", p_usize)?,
         jitter,
-        steer: p_bool(p_get(v, path, "steer")?, &format!("{path}.steer"))?,
+        steer: p_field(v, path, "steer", p_bool)?,
     })
 }
 
 fn fault_from_json(v: &Json, path: &str) -> Result<FaultRecipe, String> {
-    let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
-    let num = |key: &str| p_num(p_get(v, path, key)?, &format!("{path}.{key}"));
-    let uint = |key: &str| p_uint(p_get(v, path, key)?, &format!("{path}.{key}"));
-    let idx = |key: &str| p_usize(p_get(v, path, key)?, &format!("{path}.{key}"));
-    let u32_ = |key: &str| p_u32(p_get(v, path, key)?, &format!("{path}.{key}"));
+    let kind = p_field(v, path, "type", p_str)?;
+    let num = |key: &str| p_field(v, path, key, p_num);
+    let uint = |key: &str| p_field(v, path, key, p_uint);
+    let idx = |key: &str| p_field(v, path, key, p_usize);
+    let u32_ = |key: &str| p_field(v, path, key, p_u32);
     match kind.as_str() {
         "message-drops" => {
             p_obj(v, path, &["type", "probability"])?;
@@ -2459,141 +2692,157 @@ fn named_machines_from_json(v: &Json, path: &str) -> Result<Vec<NamedMachine>, S
             let mpath = format!("{path}[{i}]");
             p_obj(m, &mpath, &["name", "machine"])?;
             Ok(NamedMachine {
-                name: p_str(p_get(m, &mpath, "name")?, &format!("{mpath}.name"))?,
-                machine: machine_from_json(
-                    p_get(m, &mpath, "machine")?,
-                    &format!("{mpath}.machine"),
-                )?,
+                name: p_field(m, &mpath, "name", p_str)?,
+                machine: p_field(m, &mpath, "machine", machine_from_json)?,
+            })
+        })
+        .collect()
+}
+
+fn named_workloads_from_json(v: &Json, path: &str) -> Result<Vec<NamedWorkload>, String> {
+    p_arr(v, path)?
+        .iter()
+        .enumerate()
+        .map(|(i, w)| {
+            let wpath = format!("{path}[{i}]");
+            p_obj(w, &wpath, &["name", "workload", "loads"])?;
+            Ok(NamedWorkload {
+                name: p_field(w, &wpath, "name", p_str)?,
+                workload: p_field(w, &wpath, "workload", workload_from_json)?,
+                loads: p_field(w, &wpath, "loads", p_f64_arr)?,
             })
         })
         .collect()
 }
 
 fn kind_from_json(v: &Json, path: &str) -> Result<ScenarioKind, String> {
-    let kind = p_str(p_get(v, path, "type")?, &format!("{path}.type"))?;
+    let kind = p_field(v, path, "type", p_str)?;
     match kind.as_str() {
         "fig7" => {
             p_obj(v, path, &["type", "loads"])?;
             Ok(ScenarioKind::Fig7 {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
+                loads: p_field(v, path, "loads", p_f64_arr)?,
             })
         }
         "breakdown" => {
             p_obj(v, path, &["type", "rps", "machines"])?;
             Ok(ScenarioKind::Breakdown {
-                rps: p_num(p_get(v, path, "rps")?, &format!("{path}.rps"))?,
-                machines: named_machines_from_json(
-                    p_get(v, path, "machines")?,
-                    &format!("{path}.machines"),
-                )?,
+                rps: p_field(v, path, "rps", p_num)?,
+                machines: p_field(v, path, "machines", named_machines_from_json)?,
             })
         }
         "fault-tail" => {
             p_obj(v, path, &["type", "rps", "drop_rates", "retry_timeout_us"])?;
             Ok(ScenarioKind::FaultTail {
-                rps: p_num(p_get(v, path, "rps")?, &format!("{path}.rps"))?,
-                drop_rates: p_f64_arr(
-                    p_get(v, path, "drop_rates")?,
-                    &format!("{path}.drop_rates"),
-                )?,
-                retry_timeout_us: p_num(
-                    p_get(v, path, "retry_timeout_us")?,
-                    &format!("{path}.retry_timeout_us"),
-                )?,
+                rps: p_field(v, path, "rps", p_num)?,
+                drop_rates: p_field(v, path, "drop_rates", p_f64_arr)?,
+                retry_timeout_us: p_field(v, path, "retry_timeout_us", p_num)?,
             })
         }
         "cluster-tail" => {
             p_obj(v, path, &["type", "loads"])?;
             Ok(ScenarioKind::ClusterTail {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
+                loads: p_field(v, path, "loads", p_f64_arr)?,
             })
         }
         "machine-compare" => {
             p_obj(v, path, &["type", "loads", "machines"])?;
             Ok(ScenarioKind::MachineCompare {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
-                machines: named_machines_from_json(
-                    p_get(v, path, "machines")?,
-                    &format!("{path}.machines"),
-                )?,
+                loads: p_field(v, path, "loads", p_f64_arr)?,
+                machines: p_field(v, path, "machines", named_machines_from_json)?,
             })
         }
         "autoscale" => {
             p_obj(v, path, &["type", "rps", "horizon_factor", "configs"])?;
-            let configs = p_arr(p_get(v, path, "configs")?, &format!("{path}.configs"))?
+            let configs = p_field(v, path, "configs", p_arr)?
                 .iter()
                 .enumerate()
                 .map(|(i, c)| {
                     let cpath = format!("{path}.configs[{i}]");
                     p_obj(c, &cpath, &["name", "autoscale", "pool"])?;
                     Ok(AutoscaleConfig {
-                        name: p_str(p_get(c, &cpath, "name")?, &format!("{cpath}.name"))?,
-                        autoscale: p_bool(
-                            p_get(c, &cpath, "autoscale")?,
-                            &format!("{cpath}.autoscale"),
-                        )?,
-                        pool: p_bool(p_get(c, &cpath, "pool")?, &format!("{cpath}.pool"))?,
+                        name: p_field(c, &cpath, "name", p_str)?,
+                        autoscale: p_field(c, &cpath, "autoscale", p_bool)?,
+                        pool: p_field(c, &cpath, "pool", p_bool)?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(ScenarioKind::Autoscale {
-                rps: p_num(p_get(v, path, "rps")?, &format!("{path}.rps"))?,
-                horizon_factor: p_num(
-                    p_get(v, path, "horizon_factor")?,
-                    &format!("{path}.horizon_factor"),
-                )?,
+                rps: p_field(v, path, "rps", p_num)?,
+                horizon_factor: p_field(v, path, "horizon_factor", p_num)?,
                 configs,
             })
         }
         "srpt-ablation" => {
             p_obj(v, path, &["type", "workloads"])?;
-            let workloads = p_arr(p_get(v, path, "workloads")?, &format!("{path}.workloads"))?
-                .iter()
-                .enumerate()
-                .map(|(i, w)| {
-                    let wpath = format!("{path}.workloads[{i}]");
-                    p_obj(w, &wpath, &["name", "workload", "loads"])?;
-                    Ok(NamedWorkload {
-                        name: p_str(p_get(w, &wpath, "name")?, &format!("{wpath}.name"))?,
-                        workload: workload_from_json(
-                            p_get(w, &wpath, "workload")?,
-                            &format!("{wpath}.workload"),
-                        )?,
-                        loads: p_f64_arr(p_get(w, &wpath, "loads")?, &format!("{wpath}.loads"))?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ScenarioKind::SrptAblation { workloads })
+            Ok(ScenarioKind::SrptAblation {
+                workloads: p_field(v, path, "workloads", named_workloads_from_json)?,
+            })
+        }
+        "normalized" => {
+            p_obj(
+                v,
+                path,
+                &[
+                    "type",
+                    "title",
+                    "caption",
+                    "row_header",
+                    "paper",
+                    "metric",
+                    "baseline_unit",
+                    "rows",
+                    "machines",
+                ],
+            )?;
+            let text = |key: &str| p_field(v, path, key, p_str);
+            let metric = text("metric")?;
+            let metric = Metric::ALL
+                .into_iter()
+                .find(|m| m.label() == metric)
+                .ok_or_else(|| format!("{path}.metric: unknown metric `{metric}`"))?;
+            let baseline_unit = p_opt(v, path, "baseline_unit", |u, upath| {
+                let unit = p_str(u, upath)?;
+                let found = BaselineUnit::ALL.into_iter().find(|b| b.label() == unit);
+                found.ok_or_else(|| format!("{upath}: unknown unit `{unit}`"))
+            })?;
+            Ok(ScenarioKind::Normalized(NormalizedSpec {
+                title: text("title")?,
+                caption: text("caption")?,
+                row_header: text("row_header")?,
+                paper: text("paper")?,
+                metric,
+                baseline_unit,
+                rows: p_field(v, path, "rows", named_workloads_from_json)?,
+                machines: p_field(v, path, "machines", named_machines_from_json)?,
+            }))
         }
         "grid" => {
             p_obj(v, path, &["type", "loads", "seeds", "nodes", "policies"])?;
-            let seeds = p_arr(p_get(v, path, "seeds")?, &format!("{path}.seeds"))?
+            let seeds = p_field(v, path, "seeds", p_arr)?
                 .iter()
                 .enumerate()
                 .map(|(i, s)| p_uint(s, &format!("{path}.seeds[{i}]")))
                 .collect::<Result<Vec<_>, _>>()?;
-            let nodes = p_arr(p_get(v, path, "nodes")?, &format!("{path}.nodes"))?
+            let nodes = p_field(v, path, "nodes", p_arr)?
                 .iter()
                 .enumerate()
                 .map(|(i, n)| p_usize(n, &format!("{path}.nodes[{i}]")))
                 .collect::<Result<Vec<_>, _>>()?;
-            let policies = p_arr(p_get(v, path, "policies")?, &format!("{path}.policies"))?
+            let policies = p_field(v, path, "policies", p_arr)?
                 .iter()
                 .enumerate()
                 .map(|(i, p)| {
                     let ppath = format!("{path}.policies[{i}]");
                     p_obj(p, &ppath, &["name", "mitigation"])?;
                     Ok(NamedPolicy {
-                        name: p_str(p_get(p, &ppath, "name")?, &format!("{ppath}.name"))?,
-                        mitigation: mitigation_from_json(
-                            p_get(p, &ppath, "mitigation")?,
-                            &format!("{ppath}.mitigation"),
-                        )?,
+                        name: p_field(p, &ppath, "name", p_str)?,
+                        mitigation: p_field(p, &ppath, "mitigation", mitigation_from_json)?,
                     })
                 })
                 .collect::<Result<Vec<_>, String>>()?;
             Ok(ScenarioKind::Grid(GridSpec {
-                loads: p_f64_arr(p_get(v, path, "loads")?, &format!("{path}.loads"))?,
+                loads: p_field(v, path, "loads", p_f64_arr)?,
                 seeds,
                 nodes,
                 policies,
@@ -2626,7 +2875,7 @@ impl Scenario {
                 "cluster",
             ],
         )?;
-        let faults = p_arr(p_get(doc, path, "faults")?, &format!("{path}.faults"))?
+        let faults = p_field(doc, path, "faults", p_arr)?
             .iter()
             .enumerate()
             .map(|(i, f)| fault_from_json(f, &format!("{path}.faults[{i}]")))
@@ -2636,19 +2885,13 @@ impl Scenario {
             .map(|c| cluster_from_json(c, &format!("{path}.cluster")))
             .transpose()?;
         let s = Scenario {
-            name: p_str(p_get(doc, path, "name")?, &format!("{path}.name"))?,
-            kind: kind_from_json(p_get(doc, path, "kind")?, &format!("{path}.kind"))?,
-            machine: machine_from_json(p_get(doc, path, "machine")?, &format!("{path}.machine"))?,
-            workload: workload_from_json(
-                p_get(doc, path, "workload")?,
-                &format!("{path}.workload"),
-            )?,
-            scale: scale_from_json(p_get(doc, path, "scale")?, &format!("{path}.scale"))?,
+            name: p_field(doc, path, "name", p_str)?,
+            kind: p_field(doc, path, "kind", kind_from_json)?,
+            machine: p_field(doc, path, "machine", machine_from_json)?,
+            workload: p_field(doc, path, "workload", workload_from_json)?,
+            scale: p_field(doc, path, "scale", scale_from_json)?,
             faults,
-            mitigation: mitigation_from_json(
-                p_get(doc, path, "mitigation")?,
-                &format!("{path}.mitigation"),
-            )?,
+            mitigation: p_field(doc, path, "mitigation", mitigation_from_json)?,
             cluster,
         };
         s.validate()?;
@@ -2680,23 +2923,232 @@ pub mod registry {
     /// Paper anchors: at 50K RPS contention inflates the tail 14.7x on
     /// the mesh and 7.5x on the fat tree; the effect shrinks with load.
     pub fn fig7() -> Scenario {
-        Scenario {
-            name: "fig7".to_string(),
-            machine: MachineSpec {
+        entry(
+            "fig7",
+            MachineSpec {
                 // ICN contention is the variable under study; scheduling
                 // and context-switch overheads are studied separately.
                 ctx_switch_cycles: Some(0),
                 ..MachineSpec::of(MachineBase::Scaleout)
             },
+            ScenarioKind::Fig7 {
+                loads: vec![1_000.0, 5_000.0, 10_000.0, 50_000.0],
+            },
+        )
+    }
+
+    /// The three paper machines, baseline first: iso-power ServerClass,
+    /// ScaleOut, uManycore.
+    fn paper_machines() -> Vec<NamedMachine> {
+        [
+            ("ServerClass", MachineBase::ServerClassIsoPower),
+            ("ScaleOut", MachineBase::Scaleout),
+            ("uManycore", MachineBase::Umanycore),
+        ]
+        .into_iter()
+        .map(|(name, base)| NamedMachine {
+            name: name.to_string(),
+            machine: MachineSpec::of(base),
+        })
+        .collect()
+    }
+
+    /// One row per SocialNetwork root app, in figure order, each
+    /// sweeping `loads`.
+    fn app_rows(loads: &[f64]) -> Vec<NamedWorkload> {
+        let apps = SocialNetwork::new();
+        SocialNetwork::ALL
+            .into_iter()
+            .map(|root| NamedWorkload {
+                name: apps.profile(root).name.to_string(),
+                workload: WorkloadSpec::SocialApp(root),
+                loads: loads.to_vec(),
+            })
+            .collect()
+    }
+
+    /// A single-node scenario on the SocialNetwork mix at the full
+    /// scale, with no faults and no mitigation.
+    fn entry(name: &str, machine: MachineSpec, kind: ScenarioKind) -> Scenario {
+        Scenario {
+            name: name.to_string(),
+            machine,
             workload: WorkloadSpec::SocialMix,
             scale: ScaleSpec::full(),
             faults: Vec::new(),
             mitigation: MitigationSpec::default(),
             cluster: None,
-            kind: ScenarioKind::Fig7 {
-                loads: vec![1_000.0, 5_000.0, 10_000.0, 50_000.0],
-            },
+            kind,
         }
+    }
+
+    /// A normalized comparison. Its rows and columns set every point's
+    /// workload and machine, so the scenario-level ones are placeholders.
+    fn normalized(name: &str, spec: NormalizedSpec) -> Scenario {
+        let machine = MachineSpec::of(MachineBase::Umanycore);
+        entry(name, machine, ScenarioKind::Normalized(spec))
+    }
+
+    /// The three paper machines on the eight SocialNetwork apps at the
+    /// paper's three loads (Figures 14, 16, 17), given the title, caption
+    /// and paper anchors.
+    fn app_comparison(metric: Metric, unit: BaselineUnit, text: [&str; 3]) -> NormalizedSpec {
+        let [title, caption, paper] = text.map(str::to_string);
+        NormalizedSpec {
+            title,
+            caption,
+            row_header: "app".to_string(),
+            paper,
+            metric,
+            baseline_unit: Some(unit),
+            rows: app_rows(&LOADS),
+            machines: paper_machines(),
+        }
+    }
+
+    /// Figure 14: end-to-end tail (P99) latency of ServerClass, ScaleOut
+    /// and uManycore, normalized to ServerClass, at 5K/10K/15K RPS per
+    /// app, committed as `results/fig14.txt`.
+    ///
+    /// Paper anchors: uManycore reduces the tail by 6.3x / 8.3x / 16.7x
+    /// over ServerClass and 5.4x / 6.5x / 7.4x over ScaleOut at the three
+    /// loads.
+    pub fn fig14() -> Scenario {
+        normalized(
+            "fig14",
+            app_comparison(
+                Metric::P99,
+                BaselineUnit::Ms,
+                [
+                    "Figure 14",
+                    "Tail latency normalized to ServerClass (absolute ServerClass values in ms\n\
+                     shown as annotations, as in the paper).",
+                    "6.3/8.3/16.7x vs ServerClass; 5.4/6.5/7.4x vs ScaleOut",
+                ],
+            ),
+        )
+    }
+
+    /// Figure 16: end-to-end average latency, normalized to ServerClass,
+    /// committed as `results/fig16.txt`.
+    ///
+    /// Paper anchors: uManycore reduces the average by 2.3x / 3.2x / 5.6x
+    /// over ServerClass and 2.1x / 2.5x / 3.2x over ScaleOut.
+    pub fn fig16() -> Scenario {
+        normalized(
+            "fig16",
+            app_comparison(
+                Metric::Mean,
+                BaselineUnit::Ms,
+                [
+                    "Figure 16",
+                    "Average latency normalized to ServerClass.",
+                    "2.3/3.2/5.6x vs ServerClass; 2.1/2.5/3.2x vs ScaleOut",
+                ],
+            ),
+        )
+    }
+
+    /// Figure 17: tail-to-average latency ratio, normalized to
+    /// ServerClass, averaged across the three loads, committed as
+    /// `results/fig17.txt`.
+    ///
+    /// Paper anchors: uManycore's ratio is 2.7x lower than ServerClass's
+    /// and 2.3x lower than ScaleOut's (absolute ServerClass ratios
+    /// 3.1-7.7).
+    pub fn fig17() -> Scenario {
+        normalized(
+            "fig17",
+            app_comparison(
+                Metric::TailToAvg,
+                BaselineUnit::Abs,
+                [
+                    "Figure 17",
+                    "Tail-to-average latency ratio normalized to ServerClass, averaged over\n\
+                     the three loads; absolute ServerClass ratios shown as annotations.",
+                    "2.7x and 2.3x; absolute ServerClass ratios 3.1-7.7",
+                ],
+            ),
+        )
+    }
+
+    /// Figure 19: tail latency of uManycore topologies (cores per village
+    /// x villages per cluster x clusters) at 15K RPS, normalized to the
+    /// default 8x4x32, committed as `results/fig19.txt`.
+    ///
+    /// Paper anchors: all configurations within ~15% of each other;
+    /// leaf-heavy services prefer larger villages, call-heavy services
+    /// prefer many small villages; the default has the lowest overall
+    /// tail.
+    pub fn fig19() -> Scenario {
+        normalized(
+            "fig19",
+            NormalizedSpec {
+                title: "Figure 19".to_string(),
+                caption: "Normalized tail latency across uManycore shapes at 15K RPS.".to_string(),
+                row_header: "app".to_string(),
+                paper: "all shapes within ~15%; default 8x4x32 lowest overall".to_string(),
+                metric: Metric::P99,
+                baseline_unit: None,
+                rows: app_rows(&[15_000.0]),
+                machines: TopologyShape::FIG19_SWEEP
+                    .iter()
+                    .map(|s| NamedMachine {
+                        name: s.label(),
+                        machine: MachineSpec {
+                            shape: Some([s.cores_per_village, s.villages_per_cluster, s.clusters]),
+                            ..MachineSpec::of(MachineBase::Umanycore)
+                        },
+                    })
+                    .collect(),
+            },
+        )
+    }
+
+    /// Figure 20: tail latency with synthetic exponential / lognormal /
+    /// bimodal service times (mean 100 us, 2-6 blocking RPCs), normalized
+    /// to ServerClass, committed as `results/fig20.txt`. Each
+    /// (distribution, load) pair is its own row and seed.
+    ///
+    /// Paper anchors: across loads and distributions uManycore reduces
+    /// the tail 9.1x over ServerClass and 7.2x over ScaleOut, growing
+    /// with load.
+    pub fn fig20() -> Scenario {
+        let lognormal = WorkloadSpec::Synthetic {
+            mean_us: SUITE_MEAN_US,
+            scv: 4.0,
+            min_rpcs: 2,
+            max_rpcs: 6,
+        };
+        let suite = [
+            ("Exp", WorkloadSpec::SyntheticExp),
+            ("Lgn", lognormal),
+            ("Bim", WorkloadSpec::SyntheticBimodal),
+        ];
+        normalized(
+            "fig20",
+            NormalizedSpec {
+                title: "Figure 20".to_string(),
+                caption: "Synthetic-workload tail latency normalized to ServerClass; absolute\n\
+                          ServerClass tails in us as annotations."
+                    .to_string(),
+                row_header: "workload".to_string(),
+                paper: "9.1x and 7.2x on average".to_string(),
+                metric: Metric::P99,
+                baseline_unit: Some(BaselineUnit::Us),
+                rows: suite
+                    .into_iter()
+                    .flat_map(|(dist, workload)| {
+                        LOADS.map(|rps| NamedWorkload {
+                            name: format!("{dist}{:.0}K", rps / 1000.0),
+                            workload,
+                            loads: vec![rps],
+                        })
+                    })
+                    .collect(),
+                machines: paper_machines(),
+            },
+        )
     }
 
     /// Where does request time go? The *measured* per-component latency
@@ -2712,15 +3164,10 @@ pub mod registry {
     /// the mean; a parent's blocked time is never counted on top of its
     /// callees' lifetimes.
     pub fn breakdown() -> Scenario {
-        Scenario {
-            name: "breakdown".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::Breakdown {
+        entry(
+            "breakdown",
+            MachineSpec::of(MachineBase::Umanycore),
+            ScenarioKind::Breakdown {
                 rps: 10_000.0,
                 machines: vec![
                     NamedMachine {
@@ -2737,7 +3184,7 @@ pub mod registry {
                     },
                 ],
             },
-        }
+        )
     }
 
     /// Tail latency vs fault rate: the cost of losing messages, with and
@@ -2750,22 +3197,17 @@ pub mod registry {
     /// exponential-backoff retry (with a retry budget) converts most
     /// losses into one extra round trip.
     pub fn fault_tail() -> Scenario {
-        Scenario {
-            name: "fault_tail".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::FaultTail {
+        entry(
+            "fault_tail",
+            MachineSpec::of(MachineBase::Umanycore),
+            ScenarioKind::FaultTail {
                 // Moderate utilization, so latency shifts are
                 // attributable to the faults, not to saturation.
                 rps: 8_000.0,
                 drop_rates: vec![0.0, 0.005, 0.01, 0.02, 0.05],
                 retry_timeout_us: 1_500.0,
             },
-        }
+        )
     }
 
     /// Fleet tail latency by load-balancer routing policy: a rack of
@@ -2835,18 +3277,10 @@ pub mod registry {
     /// latency, 15.5x higher throughput than the iso-power ServerClass
     /// cluster (averages over the loads).
     pub fn cluster10() -> Scenario {
-        Scenario {
-            name: "cluster10".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec {
-                servers: 10,
-                ..ScaleSpec::full()
-            },
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::MachineCompare {
+        let mut s = entry(
+            "cluster10",
+            MachineSpec::of(MachineBase::Umanycore),
+            ScenarioKind::MachineCompare {
                 loads: vec![5_000.0, 10_000.0, 15_000.0],
                 machines: vec![
                     NamedMachine {
@@ -2867,7 +3301,9 @@ pub mod registry {
                     },
                 ],
             },
-        }
+        );
+        s.scale.servers = 10;
+        s
     }
 
     /// Autoscaling under bursts: the snapshot memory pool in the request
@@ -2880,19 +3316,14 @@ pub mod registry {
     /// with bursty (MMPP) arrivals and compares pool-backed and
     /// cold-boot autoscaling against no autoscaling at all.
     pub fn autoscale() -> Scenario {
-        Scenario {
-            name: "autoscale".to_string(),
-            machine: MachineSpec {
+        entry(
+            "autoscale",
+            MachineSpec {
                 // Small RQs so bursts overflow a single instance.
                 rq_capacity: Some(8),
                 ..MachineSpec::of(MachineBase::Umanycore)
             },
-            workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::Autoscale {
+            ScenarioKind::Autoscale {
                 rps: 160_000.0,
                 // The MMPP dwells ~220 ms low and ~30 ms bursting, so one
                 // scale unit (200 ms) samples roughly one burst cycle and
@@ -2918,7 +3349,7 @@ pub mod registry {
                     },
                 ],
             },
-        }
+        )
     }
 
     /// Ablation: FCFS vs SRPT dequeue (paper §4.3), committed as
@@ -2931,15 +3362,10 @@ pub mod registry {
     /// and a heavy-tailed synthetic workload (where SRPT classically
     /// shines).
     pub fn ablation_srpt() -> Scenario {
-        Scenario {
-            name: "ablation_srpt".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
-            faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
-            cluster: None,
-            kind: ScenarioKind::SrptAblation {
+        entry(
+            "ablation_srpt",
+            MachineSpec::of(MachineBase::Umanycore),
+            ScenarioKind::SrptAblation {
                 workloads: vec![
                     NamedWorkload {
                         name: "SocialMix".to_string(),
@@ -2958,7 +3384,7 @@ pub mod registry {
                     },
                 ],
             },
-        }
+        )
     }
 
     /// The default `um-sweep` grid: 4 loads x 3 mitigation policies x 2
@@ -3009,6 +3435,11 @@ pub mod registry {
     pub fn all() -> Vec<Scenario> {
         vec![
             fig7(),
+            fig14(),
+            fig16(),
+            fig17(),
+            fig19(),
+            fig20(),
             breakdown(),
             fault_tail(),
             cluster_tail(),
@@ -3149,6 +3580,59 @@ mod tests {
         }
         let err = s.validate().expect_err("bad backoff");
         assert!(err.contains("backoff"), "{err}");
+
+        // An unknown app name fails on parse, a non-root service on
+        // validation, both at the row's path.
+        let text = registry::fig14()
+            .to_json_text()
+            .replace("\"Text\"", "\"NoSuchApp\"");
+        let err = Scenario::from_json_text(&text).expect_err("unknown app");
+        assert!(
+            err.contains("scenario.kind.rows[0].workload.app: unknown SocialNetwork app"),
+            "{err}"
+        );
+        let mut s = registry::fig19();
+        normalized(&mut s).rows[0].workload = WorkloadSpec::SocialApp(SocialNetwork::REDIS);
+        let err = s.validate().expect_err("a backend service as a root");
+        assert!(err.contains("scenario.kind.rows[0].workload.app"), "{err}");
+
+        let mut s = registry::fig20();
+        normalized(&mut s).machines.clear();
+        let err = s.validate().expect_err("no machines");
+        assert!(err.contains("scenario.kind.machines"), "{err}");
+
+        for bad in [0.0, -5_000.0] {
+            let mut s = registry::fig14();
+            normalized(&mut s).rows[2].loads[1] = bad;
+            let err = s.validate().expect_err("non-positive load");
+            assert!(err.contains("scenario.kind.rows[2].loads"), "{err}");
+        }
+
+        // Per-load sections need every row on the same loads.
+        let mut s = registry::fig16();
+        normalized(&mut s).rows[3].loads.pop();
+        let err = s.validate().expect_err("ragged per-load sections");
+        assert!(err.contains("scenario.kind.rows[3].loads"), "{err}");
+    }
+
+    #[test]
+    fn base_faults_and_mitigation_reach_every_node_point() {
+        for mut s in [registry::fig7(), registry::breakdown(), registry::fig20()] {
+            s.faults = vec![FaultRecipe::MessageDrops { probability: 0.01 }];
+            s.mitigation.hedge_delay_us = Some(150.0);
+            for p in s.expand().expect("valid scenario") {
+                let cfg = p.as_node().expect("node point");
+                assert!(cfg.fault_plan.drop_probability() > 0.0, "{}", s.name);
+                assert!(cfg.mitigation.hedge.is_some(), "{}", s.name);
+            }
+        }
+    }
+
+    fn normalized(s: &mut Scenario) -> &mut NormalizedSpec {
+        match &mut s.kind {
+            ScenarioKind::Normalized(n) => n,
+            other => panic!("not a normalized scenario: {other:?}"),
+        }
     }
 
     #[test]

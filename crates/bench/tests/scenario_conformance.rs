@@ -107,6 +107,29 @@ fn ablation_srpt_text_is_bit_identical_across_thread_counts() {
 }
 
 #[test]
+fn normalized_figures_are_bit_identical_across_thread_counts() {
+    for s in [
+        registry::fig14(),
+        registry::fig16(),
+        registry::fig17(),
+        registry::fig19(),
+        registry::fig20(),
+    ] {
+        let mut s = tiny(s, 4_000.0);
+        if let ScenarioKind::Normalized(n) = &mut s.kind {
+            // Every third row: three apps, or fig20's three
+            // distributions at 5K RPS; two loads keep fig14/16's
+            // per-load sections.
+            n.rows = n.rows.iter().step_by(3).cloned().collect();
+            for row in &mut n.rows {
+                row.loads.truncate(2);
+            }
+        }
+        assert_thread_identical(&s);
+    }
+}
+
+#[test]
 fn sweep_grid_is_bit_identical_across_thread_counts() {
     let mut s = tiny(registry::sweep_default(), 4_000.0);
     if let ScenarioKind::Grid(g) = &mut s.kind {
@@ -218,6 +241,33 @@ fn um_sweep_refuses_point_output_for_non_grid_scenarios() {
         assert_eq!(out.status.code(), Some(2), "{flag}: {err}");
         assert!(out.stdout.is_empty(), "{flag}: simulated before refusing");
         assert!(err.contains("need a grid scenario"), "{flag}: {err}");
+    }
+}
+
+/// An unreadable or invalid `--scenario` document is a usage error: the
+/// message (with the offending field's path) goes to stderr and the exit
+/// status is 2, with no panic and nothing simulated.
+#[test]
+fn um_sweep_reports_bad_scenario_files_without_panicking() {
+    let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let invalid = dir.join("um_sweep_missing_faults.json");
+    std::fs::write(&invalid, r#"{"name":"x"}"#).expect("write scenario document");
+    let missing = dir.join("um_sweep_no_such_scenario.json");
+    let _ = std::fs::remove_file(&missing);
+    for (path, needle) in [
+        (invalid, "scenario: missing field `faults`"),
+        (missing, "cannot read"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_um-sweep"))
+            .arg("--scenario")
+            .arg(&path)
+            .output()
+            .expect("um-sweep starts");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{}: {err}", path.display());
+        assert!(err.contains(needle), "{}: {err}", path.display());
+        assert!(!err.contains("panicked"), "{}: {err}", path.display());
+        assert!(out.stdout.is_empty(), "{}: simulated", path.display());
     }
 }
 

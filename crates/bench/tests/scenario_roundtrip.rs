@@ -10,10 +10,12 @@
 use proptest::prelude::*;
 use um_arch::config::IcnKind;
 use um_bench::scenario::{
-    ClusterSpec, GridSpec, JitterSpec, MachineBase, MachineSpec, MitigationSpec, NamedMachine,
-    NamedPolicy, NamedRouting, RetrySpec, ScaleSpec, Scenario, ScenarioKind, WorkloadSpec,
+    BaselineUnit, ClusterSpec, GridSpec, JitterSpec, MachineBase, MachineSpec, Metric,
+    MitigationSpec, NamedMachine, NamedPolicy, NamedRouting, NamedWorkload, NormalizedSpec,
+    RetrySpec, ScaleSpec, Scenario, ScenarioKind, WorkloadSpec,
 };
 use um_sim::fault::FaultRecipe;
+use um_workload::apps::SocialNetwork;
 use umanycore::RoutingPolicy;
 
 // -----------------------------------------------------------------
@@ -87,6 +89,9 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
     prop_oneof![
         Just(WorkloadSpec::SocialMix),
         Just(WorkloadSpec::TrainMix),
+        (0..SocialNetwork::ALL.len()).prop_map(|i| WorkloadSpec::SocialApp(SocialNetwork::ALL[i])),
+        Just(WorkloadSpec::SyntheticExp),
+        Just(WorkloadSpec::SyntheticBimodal),
         (0.1f64..100.0, 0.1f64..10.0, 0u32..4, 0u32..4).prop_map(|(mean_us, scv, a, b)| {
             WorkloadSpec::Synthetic {
                 mean_us,
@@ -196,18 +201,61 @@ fn policy_axis_strategy() -> impl Strategy<Value = Vec<NamedPolicy>> {
     )
 }
 
+fn named_machines_strategy(min: usize) -> impl Strategy<Value = Vec<NamedMachine>> {
+    proptest::collection::vec(
+        (name_strategy(), machine_strategy())
+            .prop_map(|(name, machine)| NamedMachine { name, machine }),
+        min..min + 2,
+    )
+}
+
+/// Normalized comparisons: every row sweeps the same loads, so any
+/// metric may split the table into per-load sections. The text fields
+/// carry a newline and quotes through the string codec.
+fn normalized_strategy() -> impl Strategy<Value = ScenarioKind> {
+    (
+        name_strategy(),
+        prop_oneof![
+            Just(Metric::P99),
+            Just(Metric::Mean),
+            Just(Metric::TailToAvg)
+        ],
+        proptest::option::of(prop_oneof![
+            Just(BaselineUnit::Ms),
+            Just(BaselineUnit::Us),
+            Just(BaselineUnit::Abs)
+        ]),
+        loads_strategy(),
+        proptest::collection::vec((name_strategy(), workload_strategy()), 1..4),
+        named_machines_strategy(2),
+    )
+        .prop_map(|(title, metric, baseline_unit, loads, rows, machines)| {
+            ScenarioKind::Normalized(NormalizedSpec {
+                caption: format!("{title} \"caption\"\nsecond line"),
+                row_header: "row".to_string(),
+                paper: format!("{title}: 2.7x and 2.3x"),
+                title,
+                metric,
+                baseline_unit,
+                rows: rows
+                    .into_iter()
+                    .map(|(name, workload)| NamedWorkload {
+                        name,
+                        workload,
+                        loads: loads.clone(),
+                    })
+                    .collect(),
+                machines,
+            })
+        })
+}
+
 fn node_kind_strategy() -> impl Strategy<Value = ScenarioKind> {
     prop_oneof![
         loads_strategy().prop_map(|loads| ScenarioKind::Fig7 { loads }),
-        (
-            pos_f64(),
-            proptest::collection::vec(
-                (name_strategy(), machine_strategy())
-                    .prop_map(|(name, machine)| NamedMachine { name, machine }),
-                1..3,
-            )
-        )
+        (pos_f64(), named_machines_strategy(1))
             .prop_map(|(rps, machines)| ScenarioKind::Breakdown { rps, machines }),
+        normalized_strategy(),
         (
             loads_strategy(),
             proptest::collection::vec(seed_strategy(), 1..3),

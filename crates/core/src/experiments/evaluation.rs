@@ -1,15 +1,14 @@
-//! Drivers for the evaluation figures (§6).
+//! Drivers for the evaluation figures (§6) that keep their own binaries:
+//! Figure 15, Figure 18 and the §6.8 iso-area table.
 
 use super::{parallel, run_machine, Scale};
 use crate::qos::{self, QosResult};
-use crate::report::RunReport;
 use crate::system::SimConfig;
 use crate::workload::Workload;
 use um_arch::config::{CoherenceDomain, IcnKind, MachineConfig, TopologyShape};
 use um_sched::CtxSwitchModel;
 use um_sim::rng;
 use um_workload::apps::SocialNetwork;
-use um_workload::synthetic::SyntheticWorkload;
 use um_workload::ServiceId;
 
 /// The paper's three load levels, RPS per server (§5).
@@ -22,110 +21,6 @@ pub fn machines() -> [(&'static str, MachineConfig); 3] {
         ("ScaleOut", MachineConfig::scaleout()),
         ("uManycore", MachineConfig::umanycore()),
     ]
-}
-
-/// One application's results on the three machines at one load.
-#[derive(Clone, Debug)]
-pub struct AppRow {
-    /// Application name.
-    pub app: &'static str,
-    /// Load in RPS.
-    pub rps: f64,
-    /// ServerClass report.
-    pub server_class: RunReport,
-    /// ScaleOut report.
-    pub scaleout: RunReport,
-    /// uManycore report.
-    pub umanycore: RunReport,
-}
-
-impl AppRow {
-    /// Tail latencies normalized to ServerClass (Figure 14 bars).
-    pub fn norm_tails(&self) -> (f64, f64, f64) {
-        let base = self.server_class.latency.p99;
-        (
-            1.0,
-            self.scaleout.latency.p99 / base,
-            self.umanycore.latency.p99 / base,
-        )
-    }
-
-    /// Average latencies normalized to ServerClass (Figure 16 bars).
-    pub fn norm_avgs(&self) -> (f64, f64, f64) {
-        let base = self.server_class.latency.mean;
-        (
-            1.0,
-            self.scaleout.latency.mean / base,
-            self.umanycore.latency.mean / base,
-        )
-    }
-
-    /// Tail-to-average ratios normalized to ServerClass (Figure 17 bars).
-    pub fn norm_tail_to_avg(&self) -> (f64, f64, f64) {
-        let base = self.server_class.tail_to_avg();
-        (
-            1.0,
-            self.scaleout.tail_to_avg() / base,
-            self.umanycore.tail_to_avg() / base,
-        )
-    }
-}
-
-/// Runs one app at one load on all three machines (a Figure 14/16/17
-/// cell), fanned out across the sweep worker pool.
-///
-/// The three machines share the row's seed (common random numbers), so
-/// the normalized bars compare machines on the same arrival draws.
-pub fn app_row(root: ServiceId, rps: f64, scale: Scale) -> AppRow {
-    let apps = SocialNetwork::new();
-    let name = apps.profile(root).name;
-    let reports = parallel::map(machines().to_vec(), |_, (_, machine)| {
-        run_machine(machine, Workload::social_app(root), rps, scale)
-    });
-    let [sc, so, um]: [RunReport; 3] = reports.try_into().expect("three machines");
-    AppRow {
-        app: name,
-        rps,
-        server_class: sc,
-        scaleout: so,
-        umanycore: um,
-    }
-}
-
-/// Runs the full Figure 14/16/17 grid at one load: 8 apps x 3 machines,
-/// all 24 points in parallel.
-///
-/// Each app row gets its own seed derived from `scale.seed` and the
-/// row's index, so rows are statistically independent while the three
-/// machines within a row stay seed-paired.
-pub fn app_grid(rps: f64, scale: Scale) -> Vec<AppRow> {
-    let points: Vec<(usize, MachineConfig)> = (0..SocialNetwork::ALL.len())
-        .flat_map(|a| machines().map(|(_, m)| (a, m)))
-        .collect();
-    let reports = parallel::map(points, |_, (a, machine)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, a as u64),
-            ..scale
-        };
-        run_machine(
-            machine,
-            Workload::social_app(SocialNetwork::ALL[a]),
-            rps,
-            row_scale,
-        )
-    });
-    let apps = SocialNetwork::new();
-    SocialNetwork::ALL
-        .iter()
-        .zip(reports.chunks_exact(3))
-        .map(|(&root, r)| AppRow {
-            app: apps.profile(root).name,
-            rps,
-            server_class: r[0].clone(),
-            scaleout: r[1].clone(),
-            umanycore: r[2].clone(),
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------
@@ -289,111 +184,6 @@ pub fn fig18_grid(scale: Scale, hi_rps: f64) -> Vec<Fig18Row> {
             server_class: r[0],
             scaleout: r[1],
             umanycore: r[2],
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 19: topology sensitivity
-// ---------------------------------------------------------------------
-
-/// One Figure 19 bar group: per-shape tails for one app, normalized to
-/// the default 8x4x32 shape.
-#[derive(Clone, Debug)]
-pub struct Fig19Row {
-    /// Application name.
-    pub app: &'static str,
-    /// Normalized tails in `TopologyShape::FIG19_SWEEP` order.
-    pub norm_tails: Vec<f64>,
-}
-
-/// Runs the Figure 19 shape sweep for all eight apps: 8 apps x
-/// `FIG19_SWEEP.len()` shapes, all points in parallel.
-///
-/// Each app derives its own seed from `scale.seed`; the shapes within
-/// an app share it (tails are normalized to the first shape).
-pub fn fig19_grid(rps: f64, scale: Scale) -> Vec<Fig19Row> {
-    let shapes = TopologyShape::FIG19_SWEEP;
-    let points: Vec<(usize, TopologyShape)> = (0..SocialNetwork::ALL.len())
-        .flat_map(|a| shapes.iter().map(move |&s| (a, s)))
-        .collect();
-    let tails = parallel::map(points, |_, (a, shape)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, a as u64),
-            ..scale
-        };
-        run_machine(
-            MachineConfig::umanycore_shaped(shape),
-            Workload::social_app(SocialNetwork::ALL[a]),
-            rps,
-            row_scale,
-        )
-        .latency
-        .p99
-    });
-    let apps = SocialNetwork::new();
-    SocialNetwork::ALL
-        .iter()
-        .zip(tails.chunks_exact(shapes.len()))
-        .map(|(&root, t)| Fig19Row {
-            app: apps.profile(root).name,
-            norm_tails: t.iter().map(|tail| tail / t[0]).collect(),
-        })
-        .collect()
-}
-
-// ---------------------------------------------------------------------
-// Figure 20: synthetic service-time distributions
-// ---------------------------------------------------------------------
-
-/// One Figure 20 bar group.
-#[derive(Clone, Debug)]
-pub struct Fig20Row {
-    /// Distribution label (Exp/Lgn/Bim).
-    pub dist: &'static str,
-    /// Load in RPS.
-    pub rps: f64,
-    /// ServerClass tail, microseconds (the figure's absolute annotation).
-    pub server_class_tail_us: f64,
-    /// ScaleOut tail normalized to ServerClass.
-    pub scaleout_norm: f64,
-    /// uManycore tail normalized to ServerClass.
-    pub umanycore_norm: f64,
-}
-
-/// Runs the Figure 20 grid: three distributions x the given loads, all
-/// machine runs in parallel.
-///
-/// Each (distribution, load) row derives its own seed; the three
-/// machines within a row share it so the normalization is paired.
-pub fn fig20_rows(scale: Scale, loads: &[f64], mean_service_us: f64) -> Vec<Fig20Row> {
-    let mut row_meta = Vec::new();
-    let mut points = Vec::new();
-    for (label, synth) in SyntheticWorkload::paper_suite(mean_service_us) {
-        for &rps in loads {
-            let row = row_meta.len();
-            row_meta.push((label, rps));
-            for (_, machine) in machines() {
-                points.push((row, synth, rps, machine));
-            }
-        }
-    }
-    let reports = parallel::map(points, |_, (row, synth, rps, machine)| {
-        let row_scale = Scale {
-            seed: rng::derive_seed(scale.seed, row as u64),
-            ..scale
-        };
-        run_machine(machine, Workload::Synthetic(synth), rps, row_scale)
-    });
-    row_meta
-        .iter()
-        .zip(reports.chunks_exact(3))
-        .map(|(&(label, rps), r)| Fig20Row {
-            dist: label,
-            rps,
-            server_class_tail_us: r[0].latency.p99,
-            scaleout_norm: r[1].latency.p99 / r[0].latency.p99,
-            umanycore_norm: r[2].latency.p99 / r[0].latency.p99,
         })
         .collect()
 }

@@ -1,9 +1,13 @@
-//! Experiment drivers: one function per paper figure/table.
+//! Experiment drivers for the paper figures/tables that are not yet
+//! scenario-registry entries, plus the deterministic sweep runner
+//! ([`parallel`]) every experiment uses.
 //!
 //! Each driver returns plain data rows; the `um-bench` binaries render
 //! them as tables, and the integration tests assert the paper's *shapes*
 //! (who wins, by roughly what factor, where crossovers fall) on reduced
-//! scales.
+//! scales. The §6 machine comparisons (Figures 14, 16, 17, 19 and 20)
+//! are defined only in `um_bench::scenario::registry` and run with
+//! `um-sweep <name>`.
 
 pub mod cluster;
 pub mod evaluation;

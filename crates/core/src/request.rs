@@ -71,16 +71,8 @@ pub struct Request {
     pub has_run: bool,
     /// Number of context switches this request has suffered.
     pub ctx_switches: u32,
-    /// Cycles of CPU the request has consumed (for utilization stats).
-    pub cpu_cycles: Cycles,
     /// Arrival time at the village queue (for queueing-delay stats).
     pub enqueued_at: Cycles,
-    /// When the request last blocked on an RPC.
-    pub blocked_at: Cycles,
-    /// Total cycles spent blocked on RPCs so far.
-    pub blocked_cycles: Cycles,
-    /// Total cycles spent waiting in queues so far.
-    pub queued_cycles: Cycles,
     /// Slot in the village's hardware Request Queue, when the machine
     /// schedules in hardware and the request is admitted.
     pub rq_slot: Option<um_sched::RqSlot>,
@@ -148,11 +140,7 @@ impl Request {
             village,
             has_run: false,
             ctx_switches: 0,
-            cpu_cycles: Cycles::ZERO,
             enqueued_at: Cycles::ZERO,
-            blocked_at: Cycles::ZERO,
-            blocked_cycles: Cycles::ZERO,
-            queued_cycles: Cycles::ZERO,
             rq_slot: None,
             spawned_at: Cycles::ZERO,
             breakdown: LatencyBreakdown::new(),

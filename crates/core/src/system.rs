@@ -429,9 +429,6 @@ pub struct SystemSim {
     // Statistics.
     latency: Samples,
     queueing: Samples,
-    cpu_per_invocation: Samples,
-    blocked_per_invocation: Samples,
-    queued_per_invocation: Samples,
     completed: u64,
     recorded: u64,
     ctx_switches: u64,
@@ -706,9 +703,6 @@ impl SystemSim {
             servers,
             latency: Samples::new(),
             queueing: Samples::new(),
-            cpu_per_invocation: Samples::new(),
-            blocked_per_invocation: Samples::new(),
-            queued_per_invocation: Samples::new(),
             completed: 0,
             recorded: 0,
             ctx_switches: 0,
@@ -1066,10 +1060,6 @@ impl SystemSim {
     }
 
     fn on_unblock(&mut self, req: ReqId, now: Cycles) {
-        {
-            let r = &mut self.requests[req];
-            r.blocked_cycles += now.saturating_sub(r.blocked_at);
-        }
         if self.cfg.hold_core_while_blocked {
             debug_assert_eq!(self.requests[req].phase, Phase::Blocked);
             self.resume_in_place(req, now);
@@ -1234,7 +1224,6 @@ impl SystemSim {
         let mut t = now;
         if !in_place {
             let waited = now - self.requests[req].enqueued_at;
-            self.requests[req].queued_cycles += waited;
             self.queueing.record(waited.as_micros(self.freq()));
             // The queue-residence span opened when the (lock-serialized)
             // insert completed and closes at dispatch.
@@ -1382,7 +1371,6 @@ impl SystemSim {
             r.breakdown.charge(Component::MemStall, mem_stall);
             r.phase = Phase::Running;
             r.has_run = true;
-            r.cpu_cycles += end - now;
         }
         self.servers[server].busy_cycles += (end - now).raw() as u128;
         self.events.schedule_at(end, Event::SegmentDone { req });
@@ -1417,15 +1405,12 @@ impl SystemSim {
     /// run-to-completion mode the core simply stays with the request.
     fn block_request(&mut self, req: ReqId, now: Cycles) {
         if self.cfg.hold_core_while_blocked {
-            let r = &mut self.requests[req];
-            r.phase = Phase::Blocked;
-            r.blocked_at = now;
+            self.requests[req].phase = Phase::Blocked;
             return;
         }
         let (server, village) = {
             let r = &mut self.requests[req];
             r.phase = Phase::Blocked;
-            r.blocked_at = now;
             r.ctx_switches += 1;
             (r.server, r.village)
         };
@@ -1723,22 +1708,12 @@ impl SystemSim {
     }
 
     fn complete_request(&mut self, req: ReqId, now: Cycles) {
-        let (server, village, cpu, blocked, queued) = {
+        let (server, village) = {
             let r = &mut self.requests[req];
             r.phase = Phase::Done;
-            (
-                r.server,
-                r.village,
-                r.cpu_cycles,
-                r.blocked_cycles,
-                r.queued_cycles,
-            )
+            (r.server, r.village)
         };
         self.completed += 1;
-        let f = self.freq();
-        self.cpu_per_invocation.record(cpu.as_micros(f));
-        self.blocked_per_invocation.record(blocked.as_micros(f));
-        self.queued_per_invocation.record(queued.as_micros(f));
 
         // The Complete instruction / software completion bookkeeping.
         let free_at = now + self.cfg.machine.sched_op_cost;
@@ -1982,9 +1957,6 @@ impl SystemSim {
         RunReport {
             latency: self.latency.summary(),
             queueing: self.queueing.summary(),
-            cpu_per_invocation: self.cpu_per_invocation.summary(),
-            blocked_per_invocation: self.blocked_per_invocation.summary(),
-            queued_per_invocation: self.queued_per_invocation.summary(),
             latency_samples: self.latency,
             completed: self.completed,
             recorded: self.recorded,
@@ -2296,14 +2268,28 @@ mod tests {
 
     #[test]
     fn breakdown_components_are_consistent() {
-        let r = quick(MachineConfig::umanycore(), 8_000.0, 22);
-        // Every completed invocation consumed some CPU.
-        assert!(r.cpu_per_invocation.mean > 0.0);
-        // An invocation's CPU share cannot exceed its end-to-end budget:
-        // the mean root latency bounds the mean per-invocation components.
-        assert!(r.cpu_per_invocation.mean < r.latency.mean);
+        // `quick`'s run, traced.
+        let r = SystemSim::new(SimConfig {
+            machine: MachineConfig::umanycore(),
+            workload: Workload::social_mix(),
+            rps_per_server: 8_000.0,
+            servers: 1,
+            horizon_us: 20_000.0,
+            warmup_us: 2_000.0,
+            seed: 22,
+            trace: true,
+            ..SimConfig::default()
+        })
+        .run();
+        let bd = r.breakdown.expect("tracing collects a breakdown");
+        let compute = bd.component(Component::Compute).mean;
+        // Every recorded request consumed some CPU.
+        assert!(compute > 0.0);
+        // The compute share is one disjoint part of the end-to-end
+        // latency, so the mean latency bounds it.
+        assert!(compute < r.latency.mean);
         // Hardware machines do not queue-wait at these loads.
-        assert!(r.queued_per_invocation.mean < 50.0);
+        assert!(bd.component(Component::QueueWait).mean < 50.0);
     }
 
     #[test]

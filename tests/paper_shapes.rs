@@ -3,54 +3,65 @@
 //! scales. These span every crate in the workspace.
 
 use um_arch::MachineConfig;
-use um_bench::scenario::{self, registry, ScenarioKind};
+use um_bench::scenario::{self, registry, Scenario, ScenarioKind};
 use um_workload::apps::SocialNetwork;
-use umanycore::experiments::{evaluation, motivation, Scale};
-use umanycore::{SimConfig, SystemSim, Workload};
+use umanycore::experiments::{evaluation, motivation, parallel, Scale};
+use umanycore::{RunReport, SimConfig, SystemSim, Workload};
 
 fn quick() -> Scale {
     Scale::quick()
+}
+
+/// Runs a normalized registry scenario at a 60 ms horizon with its rows
+/// cut to the named ones (all when `keep` is empty), each swept over
+/// `loads`. Returns one report per machine column for every (row, load)
+/// pair, in row-major order.
+fn normalized_reports(mut s: Scenario, keep: &[&str], loads: &[f64]) -> Vec<Vec<RunReport>> {
+    s.scale.horizon_us = 60_000.0;
+    s.scale.warmup_us = 6_000.0;
+    let ScenarioKind::Normalized(n) = &mut s.kind else {
+        panic!("{} is not a normalized scenario", s.name);
+    };
+    if !keep.is_empty() {
+        n.rows.retain(|r| keep.contains(&r.name.as_str()));
+    }
+    for row in &mut n.rows {
+        row.loads = loads.to_vec();
+    }
+    let machines = n.machines.len();
+    let points = s.expand().expect("valid scenario");
+    let reports = parallel::map(points, |_, p| {
+        SystemSim::new(p.as_node().expect("node point").clone()).run()
+    });
+    reports.chunks_exact(machines).map(<[_]>::to_vec).collect()
 }
 
 /// Figure 14's core claim: uManycore's tail beats both baselines for
 /// every application, and the gap is large.
 #[test]
 fn umanycore_tail_dominates_every_app() {
-    let scale = Scale {
-        horizon_us: 60_000.0,
-        warmup_us: 6_000.0,
-        ..quick()
-    };
-    for &root in &SocialNetwork::ALL {
-        let row = evaluation::app_row(root, 10_000.0, scale);
-        let (_, so, um) = row.norm_tails();
+    let rows = normalized_reports(registry::fig14(), &[], &[10_000.0]);
+    let apps = SocialNetwork::new();
+    assert_eq!(rows.len(), SocialNetwork::ALL.len());
+    for (&root, r) in SocialNetwork::ALL.iter().zip(&rows) {
+        let app = apps.profile(root).name;
+        let so = r[1].latency.p99 / r[0].latency.p99;
+        let um = r[2].latency.p99 / r[0].latency.p99;
         assert!(
             um < 0.5,
-            "{}: uManycore normalized tail {um} should be well below ServerClass",
-            row.app
+            "{app}: uManycore normalized tail {um} should be well below ServerClass"
         );
-        assert!(
-            um < so,
-            "{}: uManycore ({um}) must beat ScaleOut ({so})",
-            row.app
-        );
+        assert!(um < so, "{app}: uManycore ({um}) must beat ScaleOut ({so})");
     }
 }
 
 /// Figure 14/16: uManycore's advantage grows with load.
 #[test]
 fn umanycore_advantage_grows_with_load() {
-    let scale = Scale {
-        horizon_us: 60_000.0,
-        warmup_us: 6_000.0,
-        ..quick()
-    };
-    let at = |rps: f64| {
-        let row = evaluation::app_row(SocialNetwork::HOME_T, rps, scale);
-        row.server_class.latency.p99 / row.umanycore.latency.p99
-    };
-    let low = at(5_000.0);
-    let high = at(15_000.0);
+    let rows = normalized_reports(registry::fig14(), &["HomeT"], &[5_000.0, 15_000.0]);
+    let at = |r: &[RunReport]| r[0].latency.p99 / r[2].latency.p99;
+    let low = at(&rows[0]);
+    let high = at(&rows[1]);
     assert!(
         high > low,
         "tail advantage should grow with load: 5K {low}x vs 15K {high}x"
@@ -85,17 +96,13 @@ fn ablation_stages_are_cumulative() {
 /// the software baselines'.
 #[test]
 fn tail_to_average_is_tamed() {
-    let scale = Scale {
-        horizon_us: 60_000.0,
-        warmup_us: 6_000.0,
-        ..quick()
-    };
-    let row = evaluation::app_row(SocialNetwork::USER, 10_000.0, scale);
+    let rows = normalized_reports(registry::fig17(), &["User"], &[10_000.0]);
+    let (server_class, umanycore) = (&rows[0][0], &rows[0][2]);
     assert!(
-        row.umanycore.tail_to_avg() < row.server_class.tail_to_avg(),
+        umanycore.tail_to_avg() < server_class.tail_to_avg(),
         "uManycore t/a {} vs ServerClass {}",
-        row.umanycore.tail_to_avg(),
-        row.server_class.tail_to_avg()
+        umanycore.tail_to_avg(),
+        server_class.tail_to_avg()
     );
 }
 
