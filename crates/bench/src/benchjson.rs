@@ -20,9 +20,10 @@
 
 /// One JSON value. Objects are ordered key/value lists, so equal
 /// documents render identically and rendering is deterministic.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub enum Json {
     /// `null`.
+    #[default]
     Null,
     /// `true` / `false`.
     Bool(bool),

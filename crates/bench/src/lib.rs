@@ -25,6 +25,7 @@ use umanycore::experiments::cluster::ClusterScale;
 use umanycore::experiments::Scale;
 
 pub mod benchjson;
+pub mod codec;
 pub mod engine;
 pub mod scenario;
 

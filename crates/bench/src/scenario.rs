@@ -5,7 +5,9 @@
 //!
 //! A [`Scenario`] round-trips through the zero-dependency
 //! [`crate::benchjson`] model (`to_json_text` / `from_json_text`), so
-//! experiments can be committed, diffed and replayed as data. The
+//! experiments can be committed, diffed and replayed as data. Each
+//! document type states its JSON shape once, as a [`crate::codec`]
+//! table. The
 //! [`registry`] is the only definition of the named built-in scenarios
 //! behind the committed `results/` tables; `um-sweep <name>` runs one,
 //! and CI byte-diffs its text against the committed file.
@@ -37,63 +39,18 @@ use umanycore::{
 };
 
 use crate::benchjson::{obj, rounded, Json};
+use crate::codec::{tag_of, Codec, Form, Pass, Schema, MAX_EXACT_INT};
 use crate::header_text;
-
-/// Largest integer JSON (f64) carries exactly; integer knobs above this
-/// would silently lose precision through a round-trip, so validation
-/// rejects them.
-const MAX_EXACT_INT: u64 = 1 << 53;
 
 // ---------------------------------------------------------------------
 // Scenario model
 // ---------------------------------------------------------------------
 
-/// Run scale: horizons, fleet width and the master seed every per-point
-/// seed derives from.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ScaleSpec {
-    /// Arrival horizon per point, microseconds.
-    pub horizon_us: f64,
-    /// Warm-up cut-off, microseconds.
-    pub warmup_us: f64,
-    /// Servers per single-node point (cluster points size via
-    /// [`ClusterSpec::nodes`]).
-    pub servers: usize,
-    /// Master seed.
-    pub seed: u64,
-}
-
-impl ScaleSpec {
-    /// The figure-quality single-node scale ([`Scale::default`]).
-    pub fn full() -> Self {
-        Self::from_scale(Scale::default())
-    }
-
-    /// Converts an experiment [`Scale`].
-    pub fn from_scale(s: Scale) -> Self {
-        Self {
-            horizon_us: s.horizon_us,
-            warmup_us: s.warmup_us,
-            servers: s.servers,
-            seed: s.seed,
-        }
-    }
-
-    /// The experiment-layer [`Scale`] this spec describes.
-    pub fn to_scale(self) -> Scale {
-        Scale {
-            horizon_us: self.horizon_us,
-            warmup_us: self.warmup_us,
-            servers: self.servers,
-            seed: self.seed,
-        }
-    }
-}
-
 /// Which paper machine a [`MachineSpec`] starts from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MachineBase {
     /// The 1024-core uManycore package.
+    #[default]
     Umanycore,
     /// The 1024-core software-scheduled ScaleOut baseline.
     Scaleout,
@@ -106,7 +63,7 @@ pub enum MachineBase {
 /// A machine description: a paper machine plus the overrides the
 /// experiments actually use. `build` applies them in a fixed order, so
 /// equal specs yield identical [`MachineConfig`] values.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct MachineSpec {
     /// Base machine.
     pub base: MachineBase,
@@ -127,10 +84,7 @@ impl MachineSpec {
     pub fn of(base: MachineBase) -> Self {
         Self {
             base,
-            shape: None,
-            rq_capacity: None,
-            ctx_switch_cycles: None,
-            icn: None,
+            ..Self::default()
         }
     }
 
@@ -171,9 +125,10 @@ impl MachineSpec {
 const SUITE_MEAN_US: f64 = 100.0;
 
 /// Which request workload the scenario draws from.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum WorkloadSpec {
     /// The uniform SocialNetwork eight-app mix.
+    #[default]
     SocialMix,
     /// One SocialNetwork root service (one of [`SocialNetwork::ALL`]);
     /// its nested calls still reach the whole graph.
@@ -226,59 +181,6 @@ impl WorkloadSpec {
     }
 }
 
-/// Timeout/retry knobs ([`RetryConfig`] as plain serializable data).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetrySpec {
-    /// Attempt timeout, microseconds.
-    pub timeout_us: f64,
-    /// Timeout multiplier per failed attempt.
-    pub backoff: f64,
-    /// Total attempts allowed, including the first.
-    pub max_attempts: u32,
-    /// Retry-budget earn rate per operation started.
-    pub budget_fraction: f64,
-}
-
-impl RetrySpec {
-    /// Mirrors [`RetryConfig::with_timeout_us`]: doubling backoff, three
-    /// attempts, 10% budget.
-    pub fn with_timeout_us(timeout_us: f64) -> Self {
-        Self {
-            timeout_us,
-            backoff: 2.0,
-            max_attempts: 3,
-            budget_fraction: 0.1,
-        }
-    }
-}
-
-/// Tail-mitigation policy as serializable data.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct MitigationSpec {
-    /// Hedge after this fixed delay, microseconds.
-    pub hedge_delay_us: Option<f64>,
-    /// Timeout + exponential-backoff retry.
-    pub retry: Option<RetrySpec>,
-    /// Straggler-aware steering.
-    pub steer: bool,
-}
-
-impl MitigationSpec {
-    /// Materializes the [`MitigationConfig`].
-    pub fn build(&self) -> MitigationConfig {
-        MitigationConfig {
-            hedge: self.hedge_delay_us.map(HedgeConfig::after_delay_us),
-            retry: self.retry.map(|r| RetryConfig {
-                timeout_us: r.timeout_us,
-                backoff: r.backoff,
-                max_attempts: r.max_attempts,
-                budget_fraction: r.budget_fraction,
-            }),
-            steer: self.steer,
-        }
-    }
-}
-
 /// A routing policy with the display name the tables print.
 #[derive(Clone, Debug, PartialEq)]
 pub struct NamedRouting {
@@ -289,7 +191,7 @@ pub struct NamedRouting {
 }
 
 /// Rack-fabric jitter: lognormal with the given mean and SCV.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct JitterSpec {
     /// Mean one-way jitter, microseconds.
     pub mean_us: f64,
@@ -299,7 +201,7 @@ pub struct JitterSpec {
 
 /// The cluster/serving-layer knobs: rack width, routing policies,
 /// admission control and fabric jitter.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClusterSpec {
     /// Packages in the rack.
     pub nodes: usize,
@@ -316,7 +218,7 @@ pub struct ClusterSpec {
 
 /// A machine column of a breakdown or normalized table (a row of a
 /// machine comparison).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NamedMachine {
     /// Column label.
     pub name: String,
@@ -325,7 +227,7 @@ pub struct NamedMachine {
 }
 
 /// One autoscaling configuration of an [`ScenarioKind::Autoscale`] row.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AutoscaleConfig {
     /// Row label, e.g. `autoscale + snapshot pool`.
     pub name: String,
@@ -337,7 +239,7 @@ pub struct AutoscaleConfig {
 
 /// A workload row of an [`ScenarioKind::SrptAblation`] or
 /// [`ScenarioKind::Normalized`] sweep.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NamedWorkload {
     /// Row label, e.g. `HeavyTail`.
     pub name: String,
@@ -348,17 +250,17 @@ pub struct NamedWorkload {
 }
 
 /// A mitigation policy axis value of a [`GridSpec`].
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NamedPolicy {
     /// Axis label, e.g. `retry`.
     pub name: String,
     /// The mitigation applied at this axis value.
-    pub mitigation: MitigationSpec,
+    pub mitigation: MitigationConfig,
 }
 
 /// The generic sweep grid `um-sweep` expands: the cross product of
 /// loads × (rack widths ×) (routings ×) policies × seeds.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct GridSpec {
     /// Offered loads, requests per second (per server / per node).
     pub loads: Vec<f64>,
@@ -372,28 +274,16 @@ pub struct GridSpec {
 }
 
 /// The per-point latency statistic a [`NormalizedSpec`] compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Metric {
     /// P99 end-to-end latency, one table section per load.
+    #[default]
     P99,
     /// Mean end-to-end latency, one table section per load.
     Mean,
     /// The P99-to-mean ratio, averaged over each row's loads into one
     /// table.
     TailToAvg,
-}
-
-impl Metric {
-    const ALL: [Metric; 3] = [Metric::P99, Metric::Mean, Metric::TailToAvg];
-
-    /// The metric's JSON token.
-    fn label(self) -> &'static str {
-        match self {
-            Metric::P99 => "p99",
-            Metric::Mean => "mean",
-            Metric::TailToAvg => "tail-to-avg",
-        }
-    }
 }
 
 /// How a [`NormalizedSpec`] prints the baseline machine's absolute value.
@@ -407,24 +297,11 @@ pub enum BaselineUnit {
     Abs,
 }
 
-impl BaselineUnit {
-    const ALL: [BaselineUnit; 3] = [BaselineUnit::Ms, BaselineUnit::Us, BaselineUnit::Abs];
-
-    /// The unit's JSON token and column-header suffix.
-    fn label(self) -> &'static str {
-        match self {
-            BaselineUnit::Ms => "ms",
-            BaselineUnit::Us => "us",
-            BaselineUnit::Abs => "abs",
-        }
-    }
-}
-
 /// A machine comparison normalized to its first machine (Figures 14, 16,
 /// 17, 19 and 20): workload rows × machine columns, where every point of
 /// row *i* runs on the seed `derive_seed(scale.seed, i)`, so the machines
 /// of a row are seed-paired and distinct rows are independent.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct NormalizedSpec {
     /// Table title, e.g. `Figure 14`.
     pub title: String,
@@ -500,7 +377,7 @@ pub enum ScenarioKind {
     Autoscale {
         /// Offered load, requests per second per server.
         rps: f64,
-        /// Arrival-horizon multiplier over [`ScaleSpec::horizon_us`], so
+        /// Arrival-horizon multiplier over [`Scale::horizon_us`], so
         /// every configuration samples several burst cycles while
         /// `UM_SCALE=quick` still composes.
         horizon_factor: f64,
@@ -524,22 +401,19 @@ pub enum ScenarioKind {
 impl ScenarioKind {
     /// The kind's `type` tag in scenario JSON.
     pub fn tag(&self) -> &'static str {
-        match self {
-            ScenarioKind::Fig7 { .. } => "fig7",
-            ScenarioKind::Breakdown { .. } => "breakdown",
-            ScenarioKind::FaultTail { .. } => "fault-tail",
-            ScenarioKind::ClusterTail { .. } => "cluster-tail",
-            ScenarioKind::MachineCompare { .. } => "machine-compare",
-            ScenarioKind::Autoscale { .. } => "autoscale",
-            ScenarioKind::SrptAblation { .. } => "srpt-ablation",
-            ScenarioKind::Normalized(_) => "normalized",
-            ScenarioKind::Grid(_) => "grid",
-        }
+        tag_of(self)
+    }
+}
+
+impl Default for ScenarioKind {
+    /// An empty grid.
+    fn default() -> Self {
+        ScenarioKind::Grid(GridSpec::default())
     }
 }
 
 /// One self-contained experiment description.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Scenario {
     /// Registry/display name.
     pub name: String,
@@ -550,14 +424,14 @@ pub struct Scenario {
     /// workload rows override it).
     pub workload: WorkloadSpec,
     /// Horizons, fleet width, master seed.
-    pub scale: ScaleSpec,
+    pub scale: Scale,
     /// Scheduled faults, replayed through the seeded
     /// [`FaultPlan`] builder per point. Must be empty for
     /// [`ScenarioKind::FaultTail`], which sweeps its own drop plan.
     pub faults: Vec<FaultRecipe>,
     /// Base mitigation policy (kinds that sweep mitigation — fault-tail,
     /// grid — override it per point).
-    pub mitigation: MitigationSpec,
+    pub mitigation: MitigationConfig,
     /// Serving-layer knobs; required by cluster-running kinds.
     pub cluster: Option<ClusterSpec>,
     /// What to measure.
@@ -593,8 +467,8 @@ fn validate_machine(path: &str, m: &MachineSpec) -> Result<(), String> {
     Ok(())
 }
 
-fn validate_mitigation(path: &str, m: &MitigationSpec) -> Result<(), String> {
-    if let Some(d) = m.hedge_delay_us {
+fn validate_mitigation(path: &str, m: &MitigationConfig) -> Result<(), String> {
+    if let Some(d) = m.hedge.map(|h| h.delay_us) {
         check(d.is_finite() && d >= 0.0, || {
             format!("{path}.hedge_delay_us: must be a finite nonnegative delay")
         })?;
@@ -1040,7 +914,7 @@ impl Scenario {
             warmup_us: self.scale.warmup_us,
             seed,
             fault_plan: self.point_plan(seed),
-            mitigation: self.mitigation.build(),
+            mitigation: self.mitigation,
             ..SimConfig::default()
         }
     }
@@ -1160,7 +1034,7 @@ impl Scenario {
                             rps,
                             named.policy,
                             scale.seed,
-                            self.mitigation.build(),
+                            self.mitigation,
                         ))));
                     }
                 }
@@ -1243,7 +1117,7 @@ impl Scenario {
                                 );
                                 let machine = self.machine.build();
                                 points.push(node_point(SimConfig {
-                                    mitigation: policy.mitigation.build(),
+                                    mitigation: policy.mitigation,
                                     ..self.node_config(machine, &self.workload, rps, seed)
                                 }));
                             }
@@ -1267,7 +1141,7 @@ impl Scenario {
                                                 rps,
                                                 named.policy,
                                                 seed,
-                                                policy.mitigation.build(),
+                                                policy.mitigation,
                                             ),
                                         )));
                                     }
@@ -1386,7 +1260,7 @@ fn run_impl(
     };
     Ok(match &s.kind {
         ScenarioKind::Fig7 { loads } => render_fig7(loads, &reports),
-        ScenarioKind::Breakdown { machines, .. } => render_breakdown(machines, &reports),
+        ScenarioKind::Breakdown { rps, machines } => render_breakdown(*rps, machines, &reports),
         ScenarioKind::FaultTail {
             rps, drop_rates, ..
         } => render_fault_tail(*rps, drop_rates, &reports),
@@ -1394,7 +1268,7 @@ fn run_impl(
         ScenarioKind::MachineCompare { loads, machines } => {
             render_machine_compare(s, loads, machines, &reports)
         }
-        ScenarioKind::Autoscale { configs, .. } => render_autoscale(configs, &reports),
+        ScenarioKind::Autoscale { configs, .. } => render_autoscale(s, configs, &reports),
         ScenarioKind::SrptAblation { workloads } => render_srpt_ablation(workloads, &reports),
         ScenarioKind::Normalized(n) => render_normalized(n, &reports),
         ScenarioKind::Grid(g) => render_grid(s, g, &reports),
@@ -1423,12 +1297,24 @@ fn render_fig7(loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
     ScenarioOutput::text(out)
 }
 
-fn render_breakdown(machines: &[NamedMachine], reports: &[PointReport]) -> ScenarioOutput {
+/// An offered load in thousands of requests per second, e.g. `8K`.
+fn krps(rps: f64) -> String {
+    format!("{}K", rps / 1000.0)
+}
+
+fn render_breakdown(
+    rps: f64,
+    machines: &[NamedMachine],
+    reports: &[PointReport],
+) -> ScenarioOutput {
     let mut out = header_text(
         "Measured latency breakdown",
-        "Mean microseconds per root request (downstream RPC tree merged in) at 10K RPS\n\
-         (SocialNetwork mix), attributed by the tracing layer. Components sum to the\n\
-         mean end-to-end latency exactly.",
+        &format!(
+            "Mean microseconds per root request (downstream RPC tree merged in) at {} RPS\n\
+             (SocialNetwork mix), attributed by the tracing layer. Components sum to the\n\
+             mean end-to-end latency exactly.",
+            krps(rps)
+        ),
     );
     let mut cols = vec!["component"];
     cols.extend(machines.iter().map(|m| m.name.as_str()));
@@ -1475,10 +1361,13 @@ fn render_breakdown(machines: &[NamedMachine], reports: &[PointReport]) -> Scena
 fn render_fault_tail(rps: f64, drop_rates: &[f64], reports: &[PointReport]) -> ScenarioOutput {
     let mut out = header_text(
         "Tail vs fault rate",
-        "uManycore, SocialNetwork mix at 8K RPS, per-leg message-drop probability\n\
-         swept. `none` = no mitigation (lost operations abandoned at the default\n\
-         RPC timeout, their requests excluded from latency); `retry` = timeout +\n\
-         exponential backoff with a 10% retry budget.",
+        &format!(
+            "uManycore, SocialNetwork mix at {} RPS, per-leg message-drop probability\n\
+             swept. `none` = no mitigation (lost operations abandoned at the default\n\
+             RPC timeout, their requests excluded from latency); `retry` = timeout +\n\
+             exponential backoff with a 10% retry budget.",
+            krps(rps)
+        ),
     );
     let mut t = Table::with_columns(&[
         "drop_p",
@@ -1522,13 +1411,16 @@ fn render_fault_tail(rps: f64, drop_rates: &[f64], reports: &[PointReport]) -> S
 
 fn render_cluster_tail(s: &Scenario, loads: &[f64], reports: &[PointReport]) -> ScenarioOutput {
     let c = s.cluster.as_ref().expect("validated: cluster present");
+    let machine = s.machine.build();
     let mut out = header_text(
         "Cluster tail by routing policy",
         &format!(
-            "{} uManycore package slices (8-core villages, 64 cores each) behind one\n\
+            "{} uManycore package slices ({}-core villages, {} cores each) behind one\n\
              load balancer; SocialNetwork mix, 0.5 us rack fabric with lognormal\n\
              jitter; per-node offered load swept up to ~0.95 utilization.",
-            c.nodes
+            c.nodes,
+            machine.shape.cores_per_village,
+            machine.total_cores()
         ),
     );
     let mut t = Table::with_columns(&[
@@ -1615,11 +1507,18 @@ fn render_machine_compare(
     ScenarioOutput::text(out)
 }
 
-fn render_autoscale(configs: &[AutoscaleConfig], reports: &[PointReport]) -> ScenarioOutput {
+fn render_autoscale(
+    s: &Scenario,
+    configs: &[AutoscaleConfig],
+    reports: &[PointReport],
+) -> ScenarioOutput {
     let mut out = header_text(
         "Autoscaling with snapshot pools",
-        "Bursty (MMPP) SocialNetwork traffic on uManycore; small 8-entry RQs so\n\
-         bursts overflow a single instance.",
+        &format!(
+            "Bursty (MMPP) SocialNetwork traffic on uManycore; small {}-entry RQs so\n\
+             bursts overflow a single instance.",
+            s.machine.effective_rq_capacity()
+        ),
     );
     let mut t = Table::with_columns(&[
         "configuration",
@@ -1693,7 +1592,7 @@ fn render_normalized_table(
 ) -> (String, Option<String>) {
     let mut cols = vec![n.row_header.clone()];
     if let Some(unit) = n.baseline_unit {
-        cols.push(format!("{}({})", n.machines[0].name, unit.label()));
+        cols.push(format!("{}({})", n.machines[0].name, tag_of(&unit)));
     }
     cols.extend(n.machines.iter().map(|m| m.name.clone()));
     let cols: Vec<&str> = cols.iter().map(String::as_str).collect();
@@ -1926,361 +1825,564 @@ fn render_grid(s: &Scenario, g: &GridSpec, reports: &[PointReport]) -> ScenarioO
 }
 
 // ---------------------------------------------------------------------
-// JSON codec
+// JSON schema: one table per type (see `crate::codec`)
 // ---------------------------------------------------------------------
 
-fn num_json(v: f64) -> Json {
-    Json::Num(v)
+impl Schema for Scenario {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("name", &mut self.name)
+            .field("kind", &mut self.kind)
+            .field("machine", &mut self.machine)
+            .field("workload", &mut self.workload)
+            .field("scale", &mut self.scale)
+            .field("faults", &mut self.faults)
+            .field("mitigation", &mut self.mitigation)
+            .opt("cluster", &mut self.cluster);
+    }
 }
 
-fn f64s_json(v: &[f64]) -> Json {
-    Json::Arr(v.iter().map(|&x| num_json(x)).collect())
+impl Schema for Scale {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("horizon_us", &mut self.horizon_us)
+            .field("warmup_us", &mut self.warmup_us)
+            .field("servers", &mut self.servers)
+            .field("seed", &mut self.seed);
+    }
 }
 
-fn uint_json(v: u64) -> Json {
-    Json::Num(v as f64)
+impl Schema for MachineBase {
+    const FORM: Form<Self> = Form::Name("machine");
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        vec![
+            ("umanycore", MachineBase::Umanycore),
+            ("scaleout", MachineBase::Scaleout),
+            ("server-class-iso-power", MachineBase::ServerClassIsoPower),
+            ("server-class-iso-area", MachineBase::ServerClassIsoArea),
+        ]
+    }
 }
 
-fn machine_to_json(m: &MachineSpec) -> Json {
-    let base = match m.base {
-        MachineBase::Umanycore => "umanycore",
-        MachineBase::Scaleout => "scaleout",
-        MachineBase::ServerClassIsoPower => "server-class-iso-power",
-        MachineBase::ServerClassIsoArea => "server-class-iso-area",
+impl Schema for IcnKind {
+    const FORM: Form<Self> = Form::Name("interconnect");
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        vec![
+            ("mesh", IcnKind::Mesh),
+            ("fat-tree", IcnKind::FatTree),
+            ("leaf-spine", IcnKind::LeafSpine),
+        ]
+    }
+}
+
+impl Schema for MachineSpec {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("base", &mut self.base)
+            .opt("shape", &mut self.shape)
+            .opt("rq_capacity", &mut self.rq_capacity)
+            .opt("ctx_switch_cycles", &mut self.ctx_switch_cycles)
+            .opt("icn", &mut self.icn);
+    }
+}
+
+/// A SocialNetwork root service, by its app name.
+impl Codec for ServiceId {
+    fn encode(&self) -> Json {
+        Json::Str(SocialNetwork::new().profile(*self).name.to_string())
+    }
+
+    fn decode(v: &Json, path: &str) -> Result<Self, String> {
+        let name = String::decode(v, path)?;
+        let apps = SocialNetwork::new();
+        SocialNetwork::ALL
+            .into_iter()
+            .find(|&root| apps.profile(root).name == name)
+            .ok_or_else(|| format!("{path}: unknown SocialNetwork app `{name}`"))
+    }
+}
+
+impl Schema for WorkloadSpec {
+    const FORM: Form<Self> = Form::Tagged {
+        key: "type",
+        what: "workload",
     };
-    let mut pairs = vec![("base", Json::Str(base.to_string()))];
-    if let Some(shape) = m.shape {
-        pairs.push((
-            "shape",
-            Json::Arr(shape.iter().map(|&d| uint_json(d as u64)).collect()),
-        ));
-    }
-    if let Some(rq) = m.rq_capacity {
-        pairs.push(("rq_capacity", uint_json(rq as u64)));
-    }
-    if let Some(c) = m.ctx_switch_cycles {
-        pairs.push(("ctx_switch_cycles", uint_json(c)));
-    }
-    if let Some(icn) = m.icn {
-        let name = match icn {
-            IcnKind::Mesh => "mesh",
-            IcnKind::FatTree => "fat-tree",
-            IcnKind::LeafSpine => "leaf-spine",
-        };
-        pairs.push(("icn", Json::Str(name.to_string())));
-    }
-    obj(pairs)
-}
 
-fn workload_to_json(w: &WorkloadSpec) -> Json {
-    match *w {
-        WorkloadSpec::SocialMix => obj(vec![("type", Json::Str("social-mix".into()))]),
-        WorkloadSpec::SocialApp(root) => obj(vec![
-            ("type", Json::Str("social-app".into())),
+    fn tags() -> Vec<(&'static str, Self)> {
+        vec![
+            ("social-mix", WorkloadSpec::SocialMix),
+            ("social-app", WorkloadSpec::SocialApp(SocialNetwork::ALL[0])),
+            ("train-mix", WorkloadSpec::TrainMix),
             (
-                "app",
-                Json::Str(SocialNetwork::new().profile(root).name.to_string()),
+                "synthetic",
+                WorkloadSpec::Synthetic {
+                    mean_us: 0.0,
+                    scv: 0.0,
+                    min_rpcs: 0,
+                    max_rpcs: 0,
+                },
             ),
-        ]),
-        WorkloadSpec::SyntheticExp => obj(vec![("type", Json::Str("synthetic-exp".into()))]),
-        WorkloadSpec::SyntheticBimodal => {
-            obj(vec![("type", Json::Str("synthetic-bimodal".into()))])
-        }
-        WorkloadSpec::TrainMix => obj(vec![("type", Json::Str("train-mix".into()))]),
-        WorkloadSpec::Synthetic {
-            mean_us,
-            scv,
-            min_rpcs,
-            max_rpcs,
-        } => obj(vec![
-            ("type", Json::Str("synthetic".into())),
-            ("mean_us", num_json(mean_us)),
-            ("scv", num_json(scv)),
-            ("min_rpcs", uint_json(min_rpcs as u64)),
-            ("max_rpcs", uint_json(max_rpcs as u64)),
-        ]),
+            ("synthetic-exp", WorkloadSpec::SyntheticExp),
+            ("synthetic-bimodal", WorkloadSpec::SyntheticBimodal),
+        ]
     }
-}
 
-fn scale_to_json(s: &ScaleSpec) -> Json {
-    obj(vec![
-        ("horizon_us", num_json(s.horizon_us)),
-        ("warmup_us", num_json(s.warmup_us)),
-        ("servers", uint_json(s.servers as u64)),
-        ("seed", uint_json(s.seed)),
-    ])
-}
-
-fn mitigation_to_json(m: &MitigationSpec) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(d) = m.hedge_delay_us {
-        pairs.push(("hedge_delay_us", num_json(d)));
-    }
-    if let Some(r) = m.retry {
-        pairs.push((
-            "retry",
-            obj(vec![
-                ("timeout_us", num_json(r.timeout_us)),
-                ("backoff", num_json(r.backoff)),
-                ("max_attempts", uint_json(r.max_attempts as u64)),
-                ("budget_fraction", num_json(r.budget_fraction)),
-            ]),
-        ));
-    }
-    pairs.push(("steer", Json::Bool(m.steer)));
-    obj(pairs)
-}
-
-fn routing_to_json(r: &NamedRouting) -> Json {
-    let mut pairs = vec![("name", Json::Str(r.name.clone()))];
-    match r.policy {
-        RoutingPolicy::Random => pairs.push(("policy", Json::Str("random".into()))),
-        RoutingPolicy::RoundRobin => pairs.push(("policy", Json::Str("round-robin".into()))),
-        RoutingPolicy::JsqD { d } => {
-            pairs.push(("policy", Json::Str("jsq".into())));
-            pairs.push(("d", uint_json(d as u64)));
-        }
-        RoutingPolicy::CentralQueue => pairs.push(("policy", Json::Str("central-queue".into()))),
-    }
-    obj(pairs)
-}
-
-fn cluster_to_json(c: &ClusterSpec) -> Json {
-    let mut pairs = vec![
-        ("nodes", uint_json(c.nodes as u64)),
-        (
-            "routing",
-            Json::Arr(c.routing.iter().map(routing_to_json).collect()),
-        ),
-    ];
-    if let Some(cap) = c.max_in_flight {
-        pairs.push(("max_in_flight", uint_json(cap as u64)));
-    }
-    if let Some(j) = c.jitter {
-        pairs.push((
-            "jitter",
-            obj(vec![
-                ("mean_us", num_json(j.mean_us)),
-                ("scv", num_json(j.scv)),
-            ]),
-        ));
-    }
-    pairs.push(("steer", Json::Bool(c.steer)));
-    obj(pairs)
-}
-
-fn fault_to_json(f: &FaultRecipe) -> Json {
-    match *f {
-        FaultRecipe::MessageDrops { probability } => obj(vec![
-            ("type", Json::Str("message-drops".into())),
-            ("probability", num_json(probability)),
-        ]),
-        FaultRecipe::CoreFailStop {
-            server,
-            village,
-            at_cycles,
-        } => obj(vec![
-            ("type", Json::Str("core-fail-stop".into())),
-            ("server", uint_json(server as u64)),
-            ("village", uint_json(village as u64)),
-            ("at_cycles", uint_json(at_cycles)),
-        ]),
-        FaultRecipe::CoreFailSlow {
-            server,
-            village,
-            cores,
-            from_cycles,
-            until_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("core-fail-slow".into())),
-            ("server", uint_json(server as u64)),
-            ("village", uint_json(village as u64)),
-            ("cores", uint_json(cores as u64)),
-            ("from_cycles", uint_json(from_cycles)),
-            ("until_cycles", uint_json(until_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-        FaultRecipe::LinkFault {
-            server,
-            link,
-            from_cycles,
-            until_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("link-fault".into())),
-            ("server", uint_json(server as u64)),
-            ("link", uint_json(link as u64)),
-            ("from_cycles", uint_json(from_cycles)),
-            ("until_cycles", uint_json(until_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-        FaultRecipe::FailSlowEveryVillage {
-            servers,
-            villages,
-            cores,
-            from_cycles,
-            until_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("fail-slow-every-village".into())),
-            ("servers", uint_json(servers as u64)),
-            ("villages", uint_json(villages as u64)),
-            ("cores", uint_json(cores as u64)),
-            ("from_cycles", uint_json(from_cycles)),
-            ("until_cycles", uint_json(until_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-        FaultRecipe::RandomFailStops {
-            count,
-            servers,
-            villages,
-            horizon_cycles,
-        } => obj(vec![
-            ("type", Json::Str("random-fail-stops".into())),
-            ("count", uint_json(count as u64)),
-            ("servers", uint_json(servers as u64)),
-            ("villages", uint_json(villages as u64)),
-            ("horizon_cycles", uint_json(horizon_cycles)),
-        ]),
-        FaultRecipe::RandomLinkFaults {
-            count,
-            servers,
-            links,
-            horizon_cycles,
-            mean_duration_cycles,
-            slowdown,
-        } => obj(vec![
-            ("type", Json::Str("random-link-faults".into())),
-            ("count", uint_json(count as u64)),
-            ("servers", uint_json(servers as u64)),
-            ("links", uint_json(links as u64)),
-            ("horizon_cycles", uint_json(horizon_cycles)),
-            ("mean_duration_cycles", uint_json(mean_duration_cycles)),
-            ("slowdown", num_json(slowdown)),
-        ]),
-    }
-}
-
-fn named_machines_to_json(machines: &[NamedMachine]) -> Json {
-    Json::Arr(
-        machines
-            .iter()
-            .map(|m| {
-                obj(vec![
-                    ("name", Json::Str(m.name.clone())),
-                    ("machine", machine_to_json(&m.machine)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn named_workloads_to_json(workloads: &[NamedWorkload]) -> Json {
-    Json::Arr(
-        workloads
-            .iter()
-            .map(|w| {
-                obj(vec![
-                    ("name", Json::Str(w.name.clone())),
-                    ("workload", workload_to_json(&w.workload)),
-                    ("loads", f64s_json(&w.loads)),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn kind_to_json(k: &ScenarioKind) -> Json {
-    let mut fields = vec![("type", Json::Str(k.tag().into()))];
-    fields.extend(match k {
-        ScenarioKind::Fig7 { loads } => vec![("loads", f64s_json(loads))],
-        ScenarioKind::Breakdown { rps, machines } => vec![
-            ("rps", num_json(*rps)),
-            ("machines", named_machines_to_json(machines)),
-        ],
-        ScenarioKind::FaultTail {
-            rps,
-            drop_rates,
-            retry_timeout_us,
-        } => vec![
-            ("rps", num_json(*rps)),
-            ("drop_rates", f64s_json(drop_rates)),
-            ("retry_timeout_us", num_json(*retry_timeout_us)),
-        ],
-        ScenarioKind::ClusterTail { loads } => vec![("loads", f64s_json(loads))],
-        ScenarioKind::MachineCompare { loads, machines } => vec![
-            ("loads", f64s_json(loads)),
-            ("machines", named_machines_to_json(machines)),
-        ],
-        ScenarioKind::Autoscale {
-            rps,
-            horizon_factor,
-            configs,
-        } => vec![
-            ("rps", num_json(*rps)),
-            ("horizon_factor", num_json(*horizon_factor)),
-            (
-                "configs",
-                Json::Arr(
-                    configs
-                        .iter()
-                        .map(|c| {
-                            obj(vec![
-                                ("name", Json::Str(c.name.clone())),
-                                ("autoscale", Json::Bool(c.autoscale)),
-                                ("pool", Json::Bool(c.pool)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ],
-        ScenarioKind::SrptAblation { workloads } => {
-            vec![("workloads", named_workloads_to_json(workloads))]
-        }
-        ScenarioKind::Normalized(n) => {
-            let mut fields = vec![
-                ("title", Json::Str(n.title.clone())),
-                ("caption", Json::Str(n.caption.clone())),
-                ("row_header", Json::Str(n.row_header.clone())),
-                ("paper", Json::Str(n.paper.clone())),
-                ("metric", Json::Str(n.metric.label().into())),
-            ];
-            if let Some(unit) = n.baseline_unit {
-                fields.push(("baseline_unit", Json::Str(unit.label().into())));
+    fn fields(&mut self, p: &mut Pass) {
+        match self {
+            WorkloadSpec::SocialApp(root) => {
+                p.field("app", root);
             }
-            fields.push(("rows", named_workloads_to_json(&n.rows)));
-            fields.push(("machines", named_machines_to_json(&n.machines)));
-            fields
+            WorkloadSpec::Synthetic {
+                mean_us,
+                scv,
+                min_rpcs,
+                max_rpcs,
+            } => {
+                p.field("mean_us", mean_us)
+                    .field("scv", scv)
+                    .field("min_rpcs", min_rpcs)
+                    .field("max_rpcs", max_rpcs);
+            }
+            _ => {}
         }
-        ScenarioKind::Grid(g) => vec![
-            ("loads", f64s_json(&g.loads)),
-            (
-                "seeds",
-                Json::Arr(g.seeds.iter().map(|&s| uint_json(s)).collect()),
-            ),
-            (
-                "nodes",
-                Json::Arr(g.nodes.iter().map(|&n| uint_json(n as u64)).collect()),
-            ),
-            (
-                "policies",
-                Json::Arr(
-                    g.policies
-                        .iter()
-                        .map(|p| {
-                            obj(vec![
-                                ("name", Json::Str(p.name.clone())),
-                                ("mitigation", mitigation_to_json(&p.mitigation)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ],
+    }
+}
+
+impl Schema for RetryConfig {
+    // Decoding overwrites every field of the blank.
+    const FORM: Form<Self> = Form::Record(|| RetryConfig::with_timeout_us(1.0));
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("timeout_us", &mut self.timeout_us)
+            .field("backoff", &mut self.backoff)
+            .field("max_attempts", &mut self.max_attempts)
+            .field("budget_fraction", &mut self.budget_fraction);
+    }
+}
+
+/// A hedge, by its delay in microseconds.
+impl Codec for HedgeConfig {
+    fn encode(&self) -> Json {
+        self.delay_us.encode()
+    }
+
+    fn decode(v: &Json, path: &str) -> Result<Self, String> {
+        f64::decode(v, path).map(|delay_us| HedgeConfig { delay_us })
+    }
+}
+
+impl Schema for MitigationConfig {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.opt("hedge_delay_us", &mut self.hedge)
+            .opt("retry", &mut self.retry)
+            .field("steer", &mut self.steer);
+    }
+}
+
+impl Schema for RoutingPolicy {
+    const FORM: Form<Self> = Form::Tagged {
+        key: "policy",
+        what: "policy",
+    };
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        vec![
+            ("random", RoutingPolicy::Random),
+            ("round-robin", RoutingPolicy::RoundRobin),
+            ("jsq", RoutingPolicy::JsqD { d: 0 }),
+            ("central-queue", RoutingPolicy::CentralQueue),
+        ]
+    }
+
+    fn fields(&mut self, p: &mut Pass) {
+        if let RoutingPolicy::JsqD { d } = self {
+            p.field("d", d);
+        }
+    }
+}
+
+impl Schema for NamedRouting {
+    const FORM: Form<Self> = Form::Record(|| NamedRouting {
+        name: String::new(),
+        policy: RoutingPolicy::Random,
     });
-    obj(fields)
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("name", &mut self.name).flatten(&mut self.policy);
+    }
+}
+
+impl Schema for JitterSpec {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("mean_us", &mut self.mean_us)
+            .field("scv", &mut self.scv);
+    }
+}
+
+impl Schema for ClusterSpec {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("nodes", &mut self.nodes)
+            .field("routing", &mut self.routing)
+            .opt("max_in_flight", &mut self.max_in_flight)
+            .opt("jitter", &mut self.jitter)
+            .field("steer", &mut self.steer);
+    }
+}
+
+impl Schema for FaultRecipe {
+    const FORM: Form<Self> = Form::Tagged {
+        key: "type",
+        what: "fault",
+    };
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        use FaultRecipe::*;
+        vec![
+            ("message-drops", MessageDrops { probability: 0.0 }),
+            (
+                "core-fail-stop",
+                CoreFailStop {
+                    server: 0,
+                    village: 0,
+                    at_cycles: 0,
+                },
+            ),
+            (
+                "core-fail-slow",
+                CoreFailSlow {
+                    server: 0,
+                    village: 0,
+                    cores: 0,
+                    from_cycles: 0,
+                    until_cycles: 0,
+                    slowdown: 0.0,
+                },
+            ),
+            (
+                "link-fault",
+                LinkFault {
+                    server: 0,
+                    link: 0,
+                    from_cycles: 0,
+                    until_cycles: 0,
+                    slowdown: 0.0,
+                },
+            ),
+            (
+                "fail-slow-every-village",
+                FailSlowEveryVillage {
+                    servers: 0,
+                    villages: 0,
+                    cores: 0,
+                    from_cycles: 0,
+                    until_cycles: 0,
+                    slowdown: 0.0,
+                },
+            ),
+            (
+                "random-fail-stops",
+                RandomFailStops {
+                    count: 0,
+                    servers: 0,
+                    villages: 0,
+                    horizon_cycles: 0,
+                },
+            ),
+            (
+                "random-link-faults",
+                RandomLinkFaults {
+                    count: 0,
+                    servers: 0,
+                    links: 0,
+                    horizon_cycles: 0,
+                    mean_duration_cycles: 0,
+                    slowdown: 0.0,
+                },
+            ),
+        ]
+    }
+
+    fn fields(&mut self, p: &mut Pass) {
+        // Keys that several variants share, each spelled once.
+        const SERVER: &str = "server";
+        const VILLAGE: &str = "village";
+        const SERVERS: &str = "servers";
+        const VILLAGES: &str = "villages";
+        const COUNT: &str = "count";
+        const CORES: &str = "cores";
+        const FROM: &str = "from_cycles";
+        const UNTIL: &str = "until_cycles";
+        const HORIZON: &str = "horizon_cycles";
+        const SLOWDOWN: &str = "slowdown";
+        match self {
+            FaultRecipe::MessageDrops { probability } => p.field("probability", probability),
+            FaultRecipe::CoreFailStop {
+                server,
+                village,
+                at_cycles,
+            } => p
+                .field(SERVER, server)
+                .field(VILLAGE, village)
+                .field("at_cycles", at_cycles),
+            FaultRecipe::CoreFailSlow {
+                server,
+                village,
+                cores,
+                from_cycles,
+                until_cycles,
+                slowdown,
+            } => p
+                .field(SERVER, server)
+                .field(VILLAGE, village)
+                .field(CORES, cores)
+                .field(FROM, from_cycles)
+                .field(UNTIL, until_cycles)
+                .field(SLOWDOWN, slowdown),
+            FaultRecipe::LinkFault {
+                server,
+                link,
+                from_cycles,
+                until_cycles,
+                slowdown,
+            } => p
+                .field(SERVER, server)
+                .field("link", link)
+                .field(FROM, from_cycles)
+                .field(UNTIL, until_cycles)
+                .field(SLOWDOWN, slowdown),
+            FaultRecipe::FailSlowEveryVillage {
+                servers,
+                villages,
+                cores,
+                from_cycles,
+                until_cycles,
+                slowdown,
+            } => p
+                .field(SERVERS, servers)
+                .field(VILLAGES, villages)
+                .field(CORES, cores)
+                .field(FROM, from_cycles)
+                .field(UNTIL, until_cycles)
+                .field(SLOWDOWN, slowdown),
+            FaultRecipe::RandomFailStops {
+                count,
+                servers,
+                villages,
+                horizon_cycles,
+            } => p
+                .field(COUNT, count)
+                .field(SERVERS, servers)
+                .field(VILLAGES, villages)
+                .field(HORIZON, horizon_cycles),
+            FaultRecipe::RandomLinkFaults {
+                count,
+                servers,
+                links,
+                horizon_cycles,
+                mean_duration_cycles,
+                slowdown,
+            } => p
+                .field(COUNT, count)
+                .field(SERVERS, servers)
+                .field("links", links)
+                .field(HORIZON, horizon_cycles)
+                .field("mean_duration_cycles", mean_duration_cycles)
+                .field(SLOWDOWN, slowdown),
+        };
+    }
+}
+
+impl Schema for NamedMachine {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("name", &mut self.name)
+            .field("machine", &mut self.machine);
+    }
+}
+
+impl Schema for NamedWorkload {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("name", &mut self.name)
+            .field("workload", &mut self.workload)
+            .field("loads", &mut self.loads);
+    }
+}
+
+impl Schema for AutoscaleConfig {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("name", &mut self.name)
+            .field("autoscale", &mut self.autoscale)
+            .field("pool", &mut self.pool);
+    }
+}
+
+impl Schema for NamedPolicy {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("name", &mut self.name)
+            .field("mitigation", &mut self.mitigation);
+    }
+}
+
+impl Schema for Metric {
+    const FORM: Form<Self> = Form::Name("metric");
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        vec![
+            ("p99", Metric::P99),
+            ("mean", Metric::Mean),
+            ("tail-to-avg", Metric::TailToAvg),
+        ]
+    }
+}
+
+impl Schema for BaselineUnit {
+    const FORM: Form<Self> = Form::Name("unit");
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        vec![
+            ("ms", BaselineUnit::Ms),
+            ("us", BaselineUnit::Us),
+            ("abs", BaselineUnit::Abs),
+        ]
+    }
+}
+
+impl Schema for NormalizedSpec {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("title", &mut self.title)
+            .field("caption", &mut self.caption)
+            .field("row_header", &mut self.row_header)
+            .field("paper", &mut self.paper)
+            .field("metric", &mut self.metric)
+            .opt("baseline_unit", &mut self.baseline_unit)
+            .field("rows", &mut self.rows)
+            .field("machines", &mut self.machines);
+    }
+}
+
+impl Schema for GridSpec {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("loads", &mut self.loads)
+            .field("seeds", &mut self.seeds)
+            .field("nodes", &mut self.nodes)
+            .field("policies", &mut self.policies);
+    }
+}
+
+impl Schema for ScenarioKind {
+    const FORM: Form<Self> = Form::Tagged {
+        key: "type",
+        what: "scenario kind",
+    };
+
+    fn tags() -> Vec<(&'static str, Self)> {
+        use ScenarioKind::*;
+        vec![
+            ("fig7", Fig7 { loads: Vec::new() }),
+            (
+                "breakdown",
+                Breakdown {
+                    rps: 0.0,
+                    machines: Vec::new(),
+                },
+            ),
+            (
+                "fault-tail",
+                FaultTail {
+                    rps: 0.0,
+                    drop_rates: Vec::new(),
+                    retry_timeout_us: 0.0,
+                },
+            ),
+            ("cluster-tail", ClusterTail { loads: Vec::new() }),
+            (
+                "machine-compare",
+                MachineCompare {
+                    loads: Vec::new(),
+                    machines: Vec::new(),
+                },
+            ),
+            (
+                "autoscale",
+                Autoscale {
+                    rps: 0.0,
+                    horizon_factor: 0.0,
+                    configs: Vec::new(),
+                },
+            ),
+            (
+                "srpt-ablation",
+                SrptAblation {
+                    workloads: Vec::new(),
+                },
+            ),
+            ("normalized", Normalized(NormalizedSpec::default())),
+            ("grid", Grid(GridSpec::default())),
+        ]
+    }
+
+    fn fields(&mut self, p: &mut Pass) {
+        // Keys that several variants share, each spelled once.
+        const LOADS: &str = "loads";
+        const RPS: &str = "rps";
+        const MACHINES: &str = "machines";
+        match self {
+            ScenarioKind::Fig7 { loads } | ScenarioKind::ClusterTail { loads } => {
+                p.field(LOADS, loads);
+            }
+            ScenarioKind::Breakdown { rps, machines } => {
+                p.field(RPS, rps).field(MACHINES, machines);
+            }
+            ScenarioKind::FaultTail {
+                rps,
+                drop_rates,
+                retry_timeout_us,
+            } => {
+                p.field(RPS, rps)
+                    .field("drop_rates", drop_rates)
+                    .field("retry_timeout_us", retry_timeout_us);
+            }
+            ScenarioKind::MachineCompare { loads, machines } => {
+                p.field(LOADS, loads).field(MACHINES, machines);
+            }
+            ScenarioKind::Autoscale {
+                rps,
+                horizon_factor,
+                configs,
+            } => {
+                p.field(RPS, rps)
+                    .field("horizon_factor", horizon_factor)
+                    .field("configs", configs);
+            }
+            ScenarioKind::SrptAblation { workloads } => {
+                p.field("workloads", workloads);
+            }
+            ScenarioKind::Normalized(n) => n.fields(p),
+            ScenarioKind::Grid(g) => g.fields(p),
+        }
+    }
 }
 
 impl Scenario {
@@ -2288,612 +2390,22 @@ impl Scenario {
     /// omitted when absent, so serialize → parse → serialize is
     /// byte-stable).
     pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("name", Json::Str(self.name.clone())),
-            ("kind", kind_to_json(&self.kind)),
-            ("machine", machine_to_json(&self.machine)),
-            ("workload", workload_to_json(&self.workload)),
-            ("scale", scale_to_json(&self.scale)),
-            (
-                "faults",
-                Json::Arr(self.faults.iter().map(fault_to_json).collect()),
-            ),
-            ("mitigation", mitigation_to_json(&self.mitigation)),
-        ];
-        if let Some(c) = &self.cluster {
-            pairs.push(("cluster", cluster_to_json(c)));
-        }
-        obj(pairs)
+        self.encode()
     }
 
     /// [`Scenario::to_json`] rendered to text.
     pub fn to_json_text(&self) -> String {
         self.to_json().render()
     }
-}
 
-fn p_obj<'a>(v: &'a Json, path: &str, allowed: &[&str]) -> Result<&'a Json, String> {
-    let pairs = v
-        .as_obj()
-        .ok_or_else(|| format!("{path}: expected an object"))?;
-    for (k, _) in pairs {
-        if !allowed.contains(&k.as_str()) {
-            return Err(format!("{path}: unknown field `{k}`"));
-        }
-    }
-    Ok(v)
-}
-
-/// Parses the required field `key` of the object `v` (at `path`) with
-/// `parse`, which reports errors at `{path}.{key}`.
-fn p_field<'a, T>(
-    v: &'a Json,
-    path: &str,
-    key: &str,
-    parse: impl FnOnce(&'a Json, &str) -> Result<T, String>,
-) -> Result<T, String> {
-    let field = v
-        .get(key)
-        .ok_or_else(|| format!("{path}: missing field `{key}`"))?;
-    parse(field, &format!("{path}.{key}"))
-}
-
-/// [`p_field`] for an optional field: `None` when `key` is absent.
-fn p_opt<'a, T>(
-    v: &'a Json,
-    path: &str,
-    key: &str,
-    parse: impl FnOnce(&'a Json, &str) -> Result<T, String>,
-) -> Result<Option<T>, String> {
-    v.get(key)
-        .map(|x| parse(x, &format!("{path}.{key}")))
-        .transpose()
-}
-
-fn p_num(v: &Json, path: &str) -> Result<f64, String> {
-    v.as_num()
-        .ok_or_else(|| format!("{path}: expected a number"))
-}
-
-fn p_uint(v: &Json, path: &str) -> Result<u64, String> {
-    let n = p_num(v, path)?;
-    if !(n >= 0.0 && n.fract() == 0.0 && n < MAX_EXACT_INT as f64) {
-        return Err(format!("{path}: expected an exact nonnegative integer"));
-    }
-    Ok(n as u64)
-}
-
-fn p_usize(v: &Json, path: &str) -> Result<usize, String> {
-    Ok(p_uint(v, path)? as usize)
-}
-
-fn p_u32(v: &Json, path: &str) -> Result<u32, String> {
-    u32::try_from(p_uint(v, path)?).map_err(|_| format!("{path}: value does not fit in 32 bits"))
-}
-
-fn p_str(v: &Json, path: &str) -> Result<String, String> {
-    v.as_str()
-        .map(str::to_string)
-        .ok_or_else(|| format!("{path}: expected a string"))
-}
-
-fn p_bool(v: &Json, path: &str) -> Result<bool, String> {
-    match v {
-        Json::Bool(b) => Ok(*b),
-        _ => Err(format!("{path}: expected a boolean")),
-    }
-}
-
-fn p_arr<'a>(v: &'a Json, path: &str) -> Result<&'a [Json], String> {
-    v.as_arr()
-        .ok_or_else(|| format!("{path}: expected an array"))
-}
-
-fn p_f64_arr(v: &Json, path: &str) -> Result<Vec<f64>, String> {
-    p_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, e)| p_num(e, &format!("{path}[{i}]")))
-        .collect()
-}
-
-fn machine_from_json(v: &Json, path: &str) -> Result<MachineSpec, String> {
-    p_obj(
-        v,
-        path,
-        &["base", "shape", "rq_capacity", "ctx_switch_cycles", "icn"],
-    )?;
-    let base = match p_field(v, path, "base", p_str)?.as_str() {
-        "umanycore" => MachineBase::Umanycore,
-        "scaleout" => MachineBase::Scaleout,
-        "server-class-iso-power" => MachineBase::ServerClassIsoPower,
-        "server-class-iso-area" => MachineBase::ServerClassIsoArea,
-        other => return Err(format!("{path}.base: unknown machine `{other}`")),
-    };
-    let shape = p_opt(v, path, "shape", |s, spath| {
-        let dims = p_arr(s, spath)?;
-        if dims.len() != 3 {
-            return Err(format!(
-                "{spath}: expected [cores_per_village, villages_per_cluster, clusters]"
-            ));
-        }
-        let mut out = [0usize; 3];
-        for (i, d) in dims.iter().enumerate() {
-            out[i] = p_usize(d, &format!("{spath}[{i}]"))?;
-        }
-        Ok(out)
-    })?;
-    let rq_capacity = p_opt(v, path, "rq_capacity", p_usize)?;
-    let ctx_switch_cycles = p_opt(v, path, "ctx_switch_cycles", p_uint)?;
-    let icn = p_opt(v, path, "icn", |i, ipath| match p_str(i, ipath)?.as_str() {
-        "mesh" => Ok(IcnKind::Mesh),
-        "fat-tree" => Ok(IcnKind::FatTree),
-        "leaf-spine" => Ok(IcnKind::LeafSpine),
-        other => Err(format!("{ipath}: unknown interconnect `{other}`")),
-    })?;
-    Ok(MachineSpec {
-        base,
-        shape,
-        rq_capacity,
-        ctx_switch_cycles,
-        icn,
-    })
-}
-
-fn workload_from_json(v: &Json, path: &str) -> Result<WorkloadSpec, String> {
-    let kind = p_field(v, path, "type", p_str)?;
-    let fieldless = [
-        ("social-mix", WorkloadSpec::SocialMix),
-        ("train-mix", WorkloadSpec::TrainMix),
-        ("synthetic-exp", WorkloadSpec::SyntheticExp),
-        ("synthetic-bimodal", WorkloadSpec::SyntheticBimodal),
-    ];
-    if let Some(&(_, w)) = fieldless.iter().find(|(tag, _)| *tag == kind) {
-        p_obj(v, path, &["type"])?;
-        return Ok(w);
-    }
-    match kind.as_str() {
-        "social-app" => {
-            p_obj(v, path, &["type", "app"])?;
-            let name = p_field(v, path, "app", p_str)?;
-            let apps = SocialNetwork::new();
-            SocialNetwork::ALL
-                .into_iter()
-                .find(|&root| apps.profile(root).name == name)
-                .map(WorkloadSpec::SocialApp)
-                .ok_or_else(|| format!("{path}.app: unknown SocialNetwork app `{name}`"))
-        }
-        "synthetic" => {
-            p_obj(v, path, &["type", "mean_us", "scv", "min_rpcs", "max_rpcs"])?;
-            Ok(WorkloadSpec::Synthetic {
-                mean_us: p_field(v, path, "mean_us", p_num)?,
-                scv: p_field(v, path, "scv", p_num)?,
-                min_rpcs: p_field(v, path, "min_rpcs", p_u32)?,
-                max_rpcs: p_field(v, path, "max_rpcs", p_u32)?,
-            })
-        }
-        other => Err(format!("{path}.type: unknown workload `{other}`")),
-    }
-}
-
-fn scale_from_json(v: &Json, path: &str) -> Result<ScaleSpec, String> {
-    p_obj(v, path, &["horizon_us", "warmup_us", "servers", "seed"])?;
-    Ok(ScaleSpec {
-        horizon_us: p_field(v, path, "horizon_us", p_num)?,
-        warmup_us: p_field(v, path, "warmup_us", p_num)?,
-        servers: p_field(v, path, "servers", p_usize)?,
-        seed: p_field(v, path, "seed", p_uint)?,
-    })
-}
-
-fn mitigation_from_json(v: &Json, path: &str) -> Result<MitigationSpec, String> {
-    p_obj(v, path, &["hedge_delay_us", "retry", "steer"])?;
-    let hedge_delay_us = p_opt(v, path, "hedge_delay_us", p_num)?;
-    let retry = p_opt(v, path, "retry", |r, rpath| {
-        p_obj(
-            r,
-            rpath,
-            &["timeout_us", "backoff", "max_attempts", "budget_fraction"],
-        )?;
-        Ok(RetrySpec {
-            timeout_us: p_field(r, rpath, "timeout_us", p_num)?,
-            backoff: p_field(r, rpath, "backoff", p_num)?,
-            max_attempts: p_field(r, rpath, "max_attempts", p_u32)?,
-            budget_fraction: p_field(r, rpath, "budget_fraction", p_num)?,
-        })
-    })?;
-    let steer = p_field(v, path, "steer", p_bool)?;
-    Ok(MitigationSpec {
-        hedge_delay_us,
-        retry,
-        steer,
-    })
-}
-
-fn routing_from_json(v: &Json, path: &str) -> Result<NamedRouting, String> {
-    p_obj(v, path, &["name", "policy", "d"])?;
-    let name = p_field(v, path, "name", p_str)?;
-    let policy = p_field(v, path, "policy", p_str)?;
-    let policy = match policy.as_str() {
-        "random" => RoutingPolicy::Random,
-        "round-robin" => RoutingPolicy::RoundRobin,
-        "jsq" => RoutingPolicy::JsqD {
-            d: p_field(v, path, "d", p_usize)?,
-        },
-        "central-queue" => RoutingPolicy::CentralQueue,
-        other => return Err(format!("{path}.policy: unknown policy `{other}`")),
-    };
-    if !matches!(policy, RoutingPolicy::JsqD { .. }) && v.get("d").is_some() {
-        return Err(format!("{path}.d: only valid with the `jsq` policy"));
-    }
-    Ok(NamedRouting { name, policy })
-}
-
-fn cluster_from_json(v: &Json, path: &str) -> Result<ClusterSpec, String> {
-    p_obj(
-        v,
-        path,
-        &["nodes", "routing", "max_in_flight", "jitter", "steer"],
-    )?;
-    let routing = p_field(v, path, "routing", p_arr)?
-        .iter()
-        .enumerate()
-        .map(|(i, r)| routing_from_json(r, &format!("{path}.routing[{i}]")))
-        .collect::<Result<Vec<_>, _>>()?;
-    let jitter = p_opt(v, path, "jitter", |j, jpath| {
-        p_obj(j, jpath, &["mean_us", "scv"])?;
-        Ok(JitterSpec {
-            mean_us: p_field(j, jpath, "mean_us", p_num)?,
-            scv: p_field(j, jpath, "scv", p_num)?,
-        })
-    })?;
-    Ok(ClusterSpec {
-        nodes: p_field(v, path, "nodes", p_usize)?,
-        routing,
-        max_in_flight: p_opt(v, path, "max_in_flight", p_usize)?,
-        jitter,
-        steer: p_field(v, path, "steer", p_bool)?,
-    })
-}
-
-fn fault_from_json(v: &Json, path: &str) -> Result<FaultRecipe, String> {
-    let kind = p_field(v, path, "type", p_str)?;
-    let num = |key: &str| p_field(v, path, key, p_num);
-    let uint = |key: &str| p_field(v, path, key, p_uint);
-    let idx = |key: &str| p_field(v, path, key, p_usize);
-    let u32_ = |key: &str| p_field(v, path, key, p_u32);
-    match kind.as_str() {
-        "message-drops" => {
-            p_obj(v, path, &["type", "probability"])?;
-            Ok(FaultRecipe::MessageDrops {
-                probability: num("probability")?,
-            })
-        }
-        "core-fail-stop" => {
-            p_obj(v, path, &["type", "server", "village", "at_cycles"])?;
-            Ok(FaultRecipe::CoreFailStop {
-                server: idx("server")?,
-                village: idx("village")?,
-                at_cycles: uint("at_cycles")?,
-            })
-        }
-        "core-fail-slow" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "server",
-                    "village",
-                    "cores",
-                    "from_cycles",
-                    "until_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::CoreFailSlow {
-                server: idx("server")?,
-                village: idx("village")?,
-                cores: u32_("cores")?,
-                from_cycles: uint("from_cycles")?,
-                until_cycles: uint("until_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        "link-fault" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "server",
-                    "link",
-                    "from_cycles",
-                    "until_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::LinkFault {
-                server: idx("server")?,
-                link: idx("link")?,
-                from_cycles: uint("from_cycles")?,
-                until_cycles: uint("until_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        "fail-slow-every-village" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "servers",
-                    "villages",
-                    "cores",
-                    "from_cycles",
-                    "until_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::FailSlowEveryVillage {
-                servers: idx("servers")?,
-                villages: idx("villages")?,
-                cores: u32_("cores")?,
-                from_cycles: uint("from_cycles")?,
-                until_cycles: uint("until_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        "random-fail-stops" => {
-            p_obj(
-                v,
-                path,
-                &["type", "count", "servers", "villages", "horizon_cycles"],
-            )?;
-            Ok(FaultRecipe::RandomFailStops {
-                count: idx("count")?,
-                servers: idx("servers")?,
-                villages: idx("villages")?,
-                horizon_cycles: uint("horizon_cycles")?,
-            })
-        }
-        "random-link-faults" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "count",
-                    "servers",
-                    "links",
-                    "horizon_cycles",
-                    "mean_duration_cycles",
-                    "slowdown",
-                ],
-            )?;
-            Ok(FaultRecipe::RandomLinkFaults {
-                count: idx("count")?,
-                servers: idx("servers")?,
-                links: idx("links")?,
-                horizon_cycles: uint("horizon_cycles")?,
-                mean_duration_cycles: uint("mean_duration_cycles")?,
-                slowdown: num("slowdown")?,
-            })
-        }
-        other => Err(format!("{path}.type: unknown fault `{other}`")),
-    }
-}
-
-fn named_machines_from_json(v: &Json, path: &str) -> Result<Vec<NamedMachine>, String> {
-    p_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, m)| {
-            let mpath = format!("{path}[{i}]");
-            p_obj(m, &mpath, &["name", "machine"])?;
-            Ok(NamedMachine {
-                name: p_field(m, &mpath, "name", p_str)?,
-                machine: p_field(m, &mpath, "machine", machine_from_json)?,
-            })
-        })
-        .collect()
-}
-
-fn named_workloads_from_json(v: &Json, path: &str) -> Result<Vec<NamedWorkload>, String> {
-    p_arr(v, path)?
-        .iter()
-        .enumerate()
-        .map(|(i, w)| {
-            let wpath = format!("{path}[{i}]");
-            p_obj(w, &wpath, &["name", "workload", "loads"])?;
-            Ok(NamedWorkload {
-                name: p_field(w, &wpath, "name", p_str)?,
-                workload: p_field(w, &wpath, "workload", workload_from_json)?,
-                loads: p_field(w, &wpath, "loads", p_f64_arr)?,
-            })
-        })
-        .collect()
-}
-
-fn kind_from_json(v: &Json, path: &str) -> Result<ScenarioKind, String> {
-    let kind = p_field(v, path, "type", p_str)?;
-    match kind.as_str() {
-        "fig7" => {
-            p_obj(v, path, &["type", "loads"])?;
-            Ok(ScenarioKind::Fig7 {
-                loads: p_field(v, path, "loads", p_f64_arr)?,
-            })
-        }
-        "breakdown" => {
-            p_obj(v, path, &["type", "rps", "machines"])?;
-            Ok(ScenarioKind::Breakdown {
-                rps: p_field(v, path, "rps", p_num)?,
-                machines: p_field(v, path, "machines", named_machines_from_json)?,
-            })
-        }
-        "fault-tail" => {
-            p_obj(v, path, &["type", "rps", "drop_rates", "retry_timeout_us"])?;
-            Ok(ScenarioKind::FaultTail {
-                rps: p_field(v, path, "rps", p_num)?,
-                drop_rates: p_field(v, path, "drop_rates", p_f64_arr)?,
-                retry_timeout_us: p_field(v, path, "retry_timeout_us", p_num)?,
-            })
-        }
-        "cluster-tail" => {
-            p_obj(v, path, &["type", "loads"])?;
-            Ok(ScenarioKind::ClusterTail {
-                loads: p_field(v, path, "loads", p_f64_arr)?,
-            })
-        }
-        "machine-compare" => {
-            p_obj(v, path, &["type", "loads", "machines"])?;
-            Ok(ScenarioKind::MachineCompare {
-                loads: p_field(v, path, "loads", p_f64_arr)?,
-                machines: p_field(v, path, "machines", named_machines_from_json)?,
-            })
-        }
-        "autoscale" => {
-            p_obj(v, path, &["type", "rps", "horizon_factor", "configs"])?;
-            let configs = p_field(v, path, "configs", p_arr)?
-                .iter()
-                .enumerate()
-                .map(|(i, c)| {
-                    let cpath = format!("{path}.configs[{i}]");
-                    p_obj(c, &cpath, &["name", "autoscale", "pool"])?;
-                    Ok(AutoscaleConfig {
-                        name: p_field(c, &cpath, "name", p_str)?,
-                        autoscale: p_field(c, &cpath, "autoscale", p_bool)?,
-                        pool: p_field(c, &cpath, "pool", p_bool)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ScenarioKind::Autoscale {
-                rps: p_field(v, path, "rps", p_num)?,
-                horizon_factor: p_field(v, path, "horizon_factor", p_num)?,
-                configs,
-            })
-        }
-        "srpt-ablation" => {
-            p_obj(v, path, &["type", "workloads"])?;
-            Ok(ScenarioKind::SrptAblation {
-                workloads: p_field(v, path, "workloads", named_workloads_from_json)?,
-            })
-        }
-        "normalized" => {
-            p_obj(
-                v,
-                path,
-                &[
-                    "type",
-                    "title",
-                    "caption",
-                    "row_header",
-                    "paper",
-                    "metric",
-                    "baseline_unit",
-                    "rows",
-                    "machines",
-                ],
-            )?;
-            let text = |key: &str| p_field(v, path, key, p_str);
-            let metric = text("metric")?;
-            let metric = Metric::ALL
-                .into_iter()
-                .find(|m| m.label() == metric)
-                .ok_or_else(|| format!("{path}.metric: unknown metric `{metric}`"))?;
-            let baseline_unit = p_opt(v, path, "baseline_unit", |u, upath| {
-                let unit = p_str(u, upath)?;
-                let found = BaselineUnit::ALL.into_iter().find(|b| b.label() == unit);
-                found.ok_or_else(|| format!("{upath}: unknown unit `{unit}`"))
-            })?;
-            Ok(ScenarioKind::Normalized(NormalizedSpec {
-                title: text("title")?,
-                caption: text("caption")?,
-                row_header: text("row_header")?,
-                paper: text("paper")?,
-                metric,
-                baseline_unit,
-                rows: p_field(v, path, "rows", named_workloads_from_json)?,
-                machines: p_field(v, path, "machines", named_machines_from_json)?,
-            }))
-        }
-        "grid" => {
-            p_obj(v, path, &["type", "loads", "seeds", "nodes", "policies"])?;
-            let seeds = p_field(v, path, "seeds", p_arr)?
-                .iter()
-                .enumerate()
-                .map(|(i, s)| p_uint(s, &format!("{path}.seeds[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let nodes = p_field(v, path, "nodes", p_arr)?
-                .iter()
-                .enumerate()
-                .map(|(i, n)| p_usize(n, &format!("{path}.nodes[{i}]")))
-                .collect::<Result<Vec<_>, _>>()?;
-            let policies = p_field(v, path, "policies", p_arr)?
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let ppath = format!("{path}.policies[{i}]");
-                    p_obj(p, &ppath, &["name", "mitigation"])?;
-                    Ok(NamedPolicy {
-                        name: p_field(p, &ppath, "name", p_str)?,
-                        mitigation: p_field(p, &ppath, "mitigation", mitigation_from_json)?,
-                    })
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(ScenarioKind::Grid(GridSpec {
-                loads: p_field(v, path, "loads", p_f64_arr)?,
-                seeds,
-                nodes,
-                policies,
-            }))
-        }
-        other => Err(format!("{path}.type: unknown scenario kind `{other}`")),
-    }
-}
-
-impl Scenario {
-    /// Parses the canonical document, rejecting unknown fields with the
-    /// offending path, then validates every knob.
+    /// Parses the canonical document, rejecting unknown and repeated
+    /// fields with the offending path, then validates every knob.
     ///
     /// # Errors
     ///
     /// Returns the first structural or range violation.
     pub fn from_json(doc: &Json) -> Result<Scenario, String> {
-        let path = "scenario";
-        p_obj(
-            doc,
-            path,
-            &[
-                "name",
-                "kind",
-                "machine",
-                "workload",
-                "scale",
-                "faults",
-                "mitigation",
-                "cluster",
-            ],
-        )?;
-        let faults = p_field(doc, path, "faults", p_arr)?
-            .iter()
-            .enumerate()
-            .map(|(i, f)| fault_from_json(f, &format!("{path}.faults[{i}]")))
-            .collect::<Result<Vec<_>, _>>()?;
-        let cluster = doc
-            .get("cluster")
-            .map(|c| cluster_from_json(c, &format!("{path}.cluster")))
-            .transpose()?;
-        let s = Scenario {
-            name: p_field(doc, path, "name", p_str)?,
-            kind: p_field(doc, path, "kind", kind_from_json)?,
-            machine: p_field(doc, path, "machine", machine_from_json)?,
-            workload: p_field(doc, path, "workload", workload_from_json)?,
-            scale: p_field(doc, path, "scale", scale_from_json)?,
-            faults,
-            mitigation: p_field(doc, path, "mitigation", mitigation_from_json)?,
-            cluster,
-        };
+        let s = Scenario::decode(doc, "scenario")?;
         s.validate()?;
         Ok(s)
     }
@@ -2974,9 +2486,9 @@ pub mod registry {
             name: name.to_string(),
             machine,
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec::full(),
+            scale: Scale::default(),
             faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
+            mitigation: MitigationConfig::default(),
             cluster: None,
             kind,
         }
@@ -3234,14 +2746,14 @@ pub mod registry {
                 ..MachineSpec::of(MachineBase::Umanycore)
             },
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec {
+            scale: Scale {
                 horizon_us: full.horizon_us,
                 warmup_us: full.warmup_us,
                 servers: 1,
                 seed: full.seed,
             },
             faults: Vec::new(),
-            mitigation: MitigationSpec::default(),
+            mitigation: MitigationConfig::default(),
             cluster: Some(ClusterSpec {
                 nodes: full.nodes,
                 // Display order is the committed-results row order.
@@ -3394,14 +2906,14 @@ pub mod registry {
             name: "sweep_default".to_string(),
             machine: MachineSpec::of(MachineBase::Umanycore),
             workload: WorkloadSpec::SocialMix,
-            scale: ScaleSpec {
+            scale: Scale {
                 horizon_us: 60_000.0,
                 warmup_us: 6_000.0,
                 servers: 1,
                 seed: 42,
             },
             faults: vec![FaultRecipe::MessageDrops { probability: 0.01 }],
-            mitigation: MitigationSpec::default(),
+            mitigation: MitigationConfig::default(),
             cluster: None,
             kind: ScenarioKind::Grid(GridSpec {
                 loads: vec![2_000.0, 5_000.0, 8_000.0, 11_000.0],
@@ -3410,20 +2922,20 @@ pub mod registry {
                 policies: vec![
                     NamedPolicy {
                         name: "none".to_string(),
-                        mitigation: MitigationSpec::default(),
+                        mitigation: MitigationConfig::default(),
                     },
                     NamedPolicy {
                         name: "retry".to_string(),
-                        mitigation: MitigationSpec {
-                            retry: Some(RetrySpec::with_timeout_us(1_500.0)),
-                            ..MitigationSpec::default()
+                        mitigation: MitigationConfig {
+                            retry: Some(RetryConfig::with_timeout_us(1_500.0)),
+                            ..MitigationConfig::default()
                         },
                     },
                     NamedPolicy {
                         name: "hedge".to_string(),
-                        mitigation: MitigationSpec {
-                            hedge_delay_us: Some(150.0),
-                            ..MitigationSpec::default()
+                        mitigation: MitigationConfig {
+                            hedge: Some(HedgeConfig::after_delay_us(150.0)),
+                            ..MitigationConfig::default()
                         },
                     },
                 ],
@@ -3573,9 +3085,9 @@ mod tests {
 
         let mut s = registry::sweep_default();
         if let ScenarioKind::Grid(g) = &mut s.kind {
-            g.policies[1].mitigation.retry = Some(RetrySpec {
+            g.policies[1].mitigation.retry = Some(RetryConfig {
                 backoff: 0.5,
-                ..RetrySpec::with_timeout_us(100.0)
+                ..RetryConfig::with_timeout_us(100.0)
             });
         }
         let err = s.validate().expect_err("bad backoff");
@@ -3619,7 +3131,7 @@ mod tests {
     fn base_faults_and_mitigation_reach_every_node_point() {
         for mut s in [registry::fig7(), registry::breakdown(), registry::fig20()] {
             s.faults = vec![FaultRecipe::MessageDrops { probability: 0.01 }];
-            s.mitigation.hedge_delay_us = Some(150.0);
+            s.mitigation.hedge = Some(HedgeConfig::after_delay_us(150.0));
             for p in s.expand().expect("valid scenario") {
                 let cfg = p.as_node().expect("node point");
                 assert!(cfg.fault_plan.drop_probability() > 0.0, "{}", s.name);

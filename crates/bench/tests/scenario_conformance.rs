@@ -9,7 +9,7 @@
 //! so the suite stays fast in debug builds; the determinism property
 //! being pinned does not depend on scale.
 
-use um_bench::scenario::{self, registry, ScaleSpec, Scenario, ScenarioKind};
+use um_bench::scenario::{self, registry, Scenario, ScenarioKind};
 use umanycore::experiments::cluster::ClusterScale;
 use umanycore::experiments::Scale;
 use umanycore::{ClusterSim, SystemSim};
@@ -193,6 +193,69 @@ fn quick_cluster_tail_covers_the_policy_grid() {
 }
 
 // -----------------------------------------------------------------
+// Captions state the scenario's own numbers
+// -----------------------------------------------------------------
+
+fn text_of(s: &Scenario) -> String {
+    scenario::run_with_threads(s, 1)
+        .expect("scenario is valid")
+        .text
+}
+
+#[test]
+fn fault_tail_caption_states_the_offered_load() {
+    let mut s = tiny(registry::fault_tail(), 2_000.0);
+    if let ScenarioKind::FaultTail {
+        rps, drop_rates, ..
+    } = &mut s.kind
+    {
+        *rps = 6_500.0;
+        *drop_rates = vec![0.0];
+    }
+    let text = text_of(&s);
+    assert!(text.contains("SocialNetwork mix at 6.5K RPS,"), "{text}");
+}
+
+#[test]
+fn breakdown_caption_states_the_offered_load() {
+    let mut s = tiny(registry::breakdown(), 2_000.0);
+    if let ScenarioKind::Breakdown { rps, machines } = &mut s.kind {
+        *rps = 5_000.0;
+        machines.truncate(1);
+    }
+    let text = text_of(&s);
+    assert!(text.contains("merged in) at 5K RPS\n"), "{text}");
+}
+
+#[test]
+fn autoscale_caption_states_the_rq_depth() {
+    let mut s = tiny(registry::autoscale(), 1_000.0);
+    s.machine.rq_capacity = Some(16);
+    if let ScenarioKind::Autoscale { configs, .. } = &mut s.kind {
+        configs.truncate(1);
+    }
+    let text = text_of(&s);
+    assert!(text.contains("small 16-entry RQs"), "{text}");
+}
+
+#[test]
+fn cluster_tail_caption_states_the_package_slice() {
+    let mut s = tiny(registry::cluster_tail(), 1_000.0);
+    s.machine.shape = Some([4, 2, 2]);
+    if let ScenarioKind::ClusterTail { loads } = &mut s.kind {
+        *loads = vec![10_000.0];
+    }
+    let c = s.cluster.as_mut().expect("cluster scenario");
+    c.nodes = 2;
+    c.routing.truncate(1);
+    let text = text_of(&s);
+    assert!(
+        text.contains("2 uManycore package slices (4-core villages, 16 cores each)"),
+        "{text}"
+    );
+}
+
+// -----------------------------------------------------------------
 // Regression: the cluster RQ-deadlock guard refuses shallow racks
 // -----------------------------------------------------------------
 
@@ -250,12 +313,17 @@ fn um_sweep_refuses_point_output_for_non_grid_scenarios() {
 #[test]
 fn um_sweep_reports_bad_scenario_files_without_panicking() {
     let dir = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
-    let invalid = dir.join("um_sweep_missing_faults.json");
+    let invalid = dir.join("um_sweep_missing_kind.json");
     std::fs::write(&invalid, r#"{"name":"x"}"#).expect("write scenario document");
+    let duplicate = dir.join("um_sweep_duplicate_name.json");
+    let text = registry::fig7().to_json_text();
+    let twice = text.replacen("\"name\"", "\"name\": \"first\", \"name\"", 1);
+    std::fs::write(&duplicate, twice).expect("write scenario document");
     let missing = dir.join("um_sweep_no_such_scenario.json");
     let _ = std::fs::remove_file(&missing);
     for (path, needle) in [
-        (invalid, "scenario: missing field `faults`"),
+        (invalid, "scenario: missing field `kind`"),
+        (duplicate, "scenario: duplicate field `name`"),
         (missing, "cannot read"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_um-sweep"))
@@ -296,7 +364,7 @@ fn every_registry_scenario_expands_and_round_trips() {
 #[test]
 fn quick_scale_matches_the_experiment_layer_values() {
     let s = quick(registry::fig7());
-    assert_eq!(s.scale, ScaleSpec::from_scale(Scale::quick()));
+    assert_eq!(s.scale, Scale::quick());
     let c = quick(registry::cluster_tail());
     let q = ClusterScale::quick();
     assert_eq!(c.scale.horizon_us, q.horizon_us);

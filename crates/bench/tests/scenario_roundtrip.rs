@@ -11,11 +11,13 @@ use proptest::prelude::*;
 use um_arch::config::IcnKind;
 use um_bench::scenario::{
     BaselineUnit, ClusterSpec, GridSpec, JitterSpec, MachineBase, MachineSpec, Metric,
-    MitigationSpec, NamedMachine, NamedPolicy, NamedRouting, NamedWorkload, NormalizedSpec,
-    RetrySpec, ScaleSpec, Scenario, ScenarioKind, WorkloadSpec,
+    NamedMachine, NamedPolicy, NamedRouting, NamedWorkload, NormalizedSpec, Scenario, ScenarioKind,
+    WorkloadSpec,
 };
+use um_sched::{HedgeConfig, MitigationConfig, RetryConfig};
 use um_sim::fault::FaultRecipe;
 use um_workload::apps::SocialNetwork;
+use umanycore::experiments::Scale;
 use umanycore::RoutingPolicy;
 
 // -----------------------------------------------------------------
@@ -36,9 +38,9 @@ fn seed_strategy() -> impl Strategy<Value = u64> {
     0u64..(1u64 << 53)
 }
 
-fn scale_strategy() -> impl Strategy<Value = ScaleSpec> {
+fn scale_strategy() -> impl Strategy<Value = Scale> {
     (pos_f64(), 0.0f64..0.99, 1usize..4, seed_strategy()).prop_map(
-        |(horizon_us, warmup_frac, servers, seed)| ScaleSpec {
+        |(horizon_us, warmup_frac, servers, seed)| Scale {
             horizon_us,
             warmup_us: horizon_us * warmup_frac,
             servers,
@@ -103,9 +105,9 @@ fn workload_strategy() -> impl Strategy<Value = WorkloadSpec> {
     ]
 }
 
-fn retry_strategy() -> impl Strategy<Value = RetrySpec> {
+fn retry_strategy() -> impl Strategy<Value = RetryConfig> {
     (0.1f64..100_000.0, 1.0f64..4.0, 1u32..10, 0.0f64..1.0).prop_map(
-        |(timeout_us, backoff, max_attempts, budget_fraction)| RetrySpec {
+        |(timeout_us, backoff, max_attempts, budget_fraction)| RetryConfig {
             timeout_us,
             backoff,
             max_attempts,
@@ -114,14 +116,14 @@ fn retry_strategy() -> impl Strategy<Value = RetrySpec> {
     )
 }
 
-fn mitigation_strategy() -> impl Strategy<Value = MitigationSpec> {
+fn mitigation_strategy() -> impl Strategy<Value = MitigationConfig> {
     (
         proptest::option::of(0.0f64..10_000.0),
         proptest::option::of(retry_strategy()),
         proptest::bool::ANY,
     )
-        .prop_map(|(hedge_delay_us, retry, steer)| MitigationSpec {
-            hedge_delay_us,
+        .prop_map(|(hedge_delay_us, retry, steer)| MitigationConfig {
+            hedge: hedge_delay_us.map(|delay_us| HedgeConfig { delay_us }),
             retry,
             steer,
         })

@@ -21,11 +21,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use um_bench::benchjson::{obj, Json};
+use um_bench::codec::{Codec, Form, Pass, Schema};
 use um_bench::scenario::{self, Scenario, ScenarioOutput};
-
-/// Largest integer JSON carries exactly; submission seeds above this
-/// would not round-trip.
-const MAX_EXACT_SEED: f64 = 9_007_199_254_740_992.0; // 2^53
 
 /// Service sizing knobs.
 #[derive(Clone, Copy, Debug)]
@@ -315,28 +312,33 @@ pub fn result_envelope(name: &str, out: &ScenarioOutput) -> Json {
     obj(pairs)
 }
 
+/// The `{"scenario": {...}, "seed": N}` submission envelope. The scenario
+/// stays a raw document, so its errors carry the `scenario` path of a
+/// bare submission.
+#[derive(Clone, Default)]
+struct Envelope {
+    scenario: Json,
+    seed: Option<u64>,
+}
+
+impl Schema for Envelope {
+    const FORM: Form<Self> = Form::Record(Self::default);
+
+    fn fields(&mut self, p: &mut Pass) {
+        p.field("scenario", &mut self.scenario)
+            .opt("seed", &mut self.seed);
+    }
+}
+
 fn parse_submission(body: &str) -> Result<Scenario, String> {
     let doc = Json::parse(body)?;
     if doc.get("scenario").is_none() {
         return Scenario::from_json(&doc);
     }
-    let pairs = doc
-        .as_obj()
-        .ok_or_else(|| "submission: expected an object".to_string())?;
-    for (k, _) in pairs {
-        if k != "scenario" && k != "seed" {
-            return Err(format!("submission: unknown field `{k}`"));
-        }
-    }
-    let mut s = Scenario::from_json(doc.get("scenario").expect("checked above"))?;
-    if let Some(seed) = doc.get("seed") {
-        let n = seed
-            .as_num()
-            .ok_or_else(|| "submission.seed: expected a number".to_string())?;
-        if !(n >= 0.0 && n.fract() == 0.0 && n < MAX_EXACT_SEED) {
-            return Err("submission.seed: expected an exact nonnegative integer".to_string());
-        }
-        s.scale.seed = n as u64;
+    let envelope = Envelope::decode(&doc, "submission")?;
+    let mut s = Scenario::from_json(&envelope.scenario)?;
+    if let Some(seed) = envelope.seed {
+        s.scale.seed = seed;
         s.validate()?;
     }
     Ok(s)
