@@ -105,7 +105,7 @@ fn main() {
     // End-to-end tails at 10K RPS (Figure 14 mid-load): the fig14
     // registry scenario with every app row cut to that load. Each row's
     // points are [ServerClass, ScaleOut, uManycore].
-    let mut fig14 = registry::fig14();
+    let mut fig14 = registry::by_name("fig14").expect("registry scenario");
     scenario::apply_env(&mut fig14);
     if let ScenarioKind::Normalized(n) = &mut fig14.kind {
         for row in &mut n.rows {

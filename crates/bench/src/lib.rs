@@ -9,7 +9,7 @@
 //! cargo run --release -p um-bench --bin fig15
 //! ```
 //!
-//! Binaries honour three environment variables:
+//! Binaries honour four environment variables:
 //!
 //! - `UM_SCALE`: `quick` (seconds per figure, noisier) or `full`
 //!   (default; the scale used for EXPERIMENTS.md).

@@ -7,10 +7,11 @@
 //! [`crate::benchjson`] model (`to_json_text` / `from_json_text`), so
 //! experiments can be committed, diffed and replayed as data. Each
 //! document type states its JSON shape once, as a [`crate::codec`]
-//! table. The
-//! [`registry`] is the only definition of the named built-in scenarios
-//! behind the committed `results/` tables; `um-sweep <name>` runs one,
-//! and CI byte-diffs its text against the committed file.
+//! table. The named built-in scenarios behind the committed `results/`
+//! tables are such documents: the [`registry`] embeds the files under
+//! `crates/bench/registry/` and has no other definition. `um-sweep
+//! <name>` runs one, and CI byte-diffs its text against the committed
+//! file.
 //!
 //! Every expansion derives per-point seeds from the scenario's master
 //! seed, and every run goes through the deterministic sweep runner —
@@ -30,7 +31,6 @@ use um_workload::synthetic::SyntheticWorkload;
 use um_workload::{ServiceId, ServiceTimeDist};
 use umanycore::cluster::ClusterNetConfig;
 use umanycore::experiments::cluster::ClusterScale;
-use umanycore::experiments::evaluation::LOADS;
 use umanycore::experiments::{parallel, Scale};
 use umanycore::report::RunReport;
 use umanycore::system::ArrivalProcess;
@@ -2425,546 +2425,69 @@ impl Scenario {
 // ---------------------------------------------------------------------
 
 /// The named built-in scenarios behind the committed `results/` tables.
+///
+/// The registry is the canonical JSON documents under
+/// `crates/bench/registry/`, embedded at build time; there is no other
+/// definition. A figure's experiment changes by editing its document.
+/// EXPERIMENTS.md, "Scenario registry", gives each document's paper
+/// anchors and the reasons for its values.
 pub mod registry {
-    use super::*;
+    use super::Scenario;
 
-    /// Figure 7: impact of on-package ICN contention on tail latency, 2D
-    /// mesh vs fat tree on the 1024-core ScaleOut, committed as
-    /// `results/fig7.txt`.
-    ///
-    /// Paper anchors: at 50K RPS contention inflates the tail 14.7x on
-    /// the mesh and 7.5x on the fat tree; the effect shrinks with load.
-    pub fn fig7() -> Scenario {
-        entry(
-            "fig7",
-            MachineSpec {
-                // ICN contention is the variable under study; scheduling
-                // and context-switch overheads are studied separately.
-                ctx_switch_cycles: Some(0),
-                ..MachineSpec::of(MachineBase::Scaleout)
-            },
-            ScenarioKind::Fig7 {
-                loads: vec![1_000.0, 5_000.0, 10_000.0, 50_000.0],
-            },
-        )
+    /// Every built-in document, keyed by its `name`, in display order.
+    pub(super) const DOCUMENTS: [(&str, &str); 13] = [
+        ("fig7", include_str!("../registry/fig7.json")),
+        ("fig14", include_str!("../registry/fig14.json")),
+        ("fig16", include_str!("../registry/fig16.json")),
+        ("fig17", include_str!("../registry/fig17.json")),
+        ("fig19", include_str!("../registry/fig19.json")),
+        ("fig20", include_str!("../registry/fig20.json")),
+        ("breakdown", include_str!("../registry/breakdown.json")),
+        ("fault_tail", include_str!("../registry/fault_tail.json")),
+        (
+            "cluster_tail",
+            include_str!("../registry/cluster_tail.json"),
+        ),
+        ("cluster10", include_str!("../registry/cluster10.json")),
+        ("autoscale", include_str!("../registry/autoscale.json")),
+        (
+            "ablation_srpt",
+            include_str!("../registry/ablation_srpt.json"),
+        ),
+        (
+            "sweep_default",
+            include_str!("../registry/sweep_default.json"),
+        ),
+    ];
+
+    /// Decodes an embedded document. Every one decodes and validates
+    /// (the `documents_are_the_registry` unit test), so a failure here
+    /// is a broken build, not bad input.
+    fn decode(name: &str, text: &str) -> Scenario {
+        Scenario::from_json_text(text)
+            .unwrap_or_else(|e| panic!("registry document {name}.json: {e}"))
     }
 
-    /// The three paper machines, baseline first: iso-power ServerClass,
-    /// ScaleOut, uManycore.
-    fn paper_machines() -> Vec<NamedMachine> {
-        [
-            ("ServerClass", MachineBase::ServerClassIsoPower),
-            ("ScaleOut", MachineBase::Scaleout),
-            ("uManycore", MachineBase::Umanycore),
-        ]
-        .into_iter()
-        .map(|(name, base)| NamedMachine {
-            name: name.to_string(),
-            machine: MachineSpec::of(base),
-        })
-        .collect()
-    }
-
-    /// One row per SocialNetwork root app, in figure order, each
-    /// sweeping `loads`.
-    fn app_rows(loads: &[f64]) -> Vec<NamedWorkload> {
-        let apps = SocialNetwork::new();
-        SocialNetwork::ALL
-            .into_iter()
-            .map(|root| NamedWorkload {
-                name: apps.profile(root).name.to_string(),
-                workload: WorkloadSpec::SocialApp(root),
-                loads: loads.to_vec(),
-            })
+    /// Every built-in scenario, in display order.
+    pub fn all() -> Vec<Scenario> {
+        DOCUMENTS
+            .iter()
+            .map(|&(name, text)| decode(name, text))
             .collect()
     }
 
-    /// A single-node scenario on the SocialNetwork mix at the full
-    /// scale, with no faults and no mitigation.
-    fn entry(name: &str, machine: MachineSpec, kind: ScenarioKind) -> Scenario {
-        Scenario {
-            name: name.to_string(),
-            machine,
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale::default(),
-            faults: Vec::new(),
-            mitigation: MitigationConfig::default(),
-            cluster: None,
-            kind,
-        }
-    }
-
-    /// A normalized comparison. Its rows and columns set every point's
-    /// workload and machine, so the scenario-level ones are placeholders.
-    fn normalized(name: &str, spec: NormalizedSpec) -> Scenario {
-        let machine = MachineSpec::of(MachineBase::Umanycore);
-        entry(name, machine, ScenarioKind::Normalized(spec))
-    }
-
-    /// The three paper machines on the eight SocialNetwork apps at the
-    /// paper's three loads (Figures 14, 16, 17), given the title, caption
-    /// and paper anchors.
-    fn app_comparison(metric: Metric, unit: BaselineUnit, text: [&str; 3]) -> NormalizedSpec {
-        let [title, caption, paper] = text.map(str::to_string);
-        NormalizedSpec {
-            title,
-            caption,
-            row_header: "app".to_string(),
-            paper,
-            metric,
-            baseline_unit: Some(unit),
-            rows: app_rows(&LOADS),
-            machines: paper_machines(),
-        }
-    }
-
-    /// Figure 14: end-to-end tail (P99) latency of ServerClass, ScaleOut
-    /// and uManycore, normalized to ServerClass, at 5K/10K/15K RPS per
-    /// app, committed as `results/fig14.txt`.
-    ///
-    /// Paper anchors: uManycore reduces the tail by 6.3x / 8.3x / 16.7x
-    /// over ServerClass and 5.4x / 6.5x / 7.4x over ScaleOut at the three
-    /// loads.
-    pub fn fig14() -> Scenario {
-        normalized(
-            "fig14",
-            app_comparison(
-                Metric::P99,
-                BaselineUnit::Ms,
-                [
-                    "Figure 14",
-                    "Tail latency normalized to ServerClass (absolute ServerClass values in ms\n\
-                     shown as annotations, as in the paper).",
-                    "6.3/8.3/16.7x vs ServerClass; 5.4/6.5/7.4x vs ScaleOut",
-                ],
-            ),
-        )
-    }
-
-    /// Figure 16: end-to-end average latency, normalized to ServerClass,
-    /// committed as `results/fig16.txt`.
-    ///
-    /// Paper anchors: uManycore reduces the average by 2.3x / 3.2x / 5.6x
-    /// over ServerClass and 2.1x / 2.5x / 3.2x over ScaleOut.
-    pub fn fig16() -> Scenario {
-        normalized(
-            "fig16",
-            app_comparison(
-                Metric::Mean,
-                BaselineUnit::Ms,
-                [
-                    "Figure 16",
-                    "Average latency normalized to ServerClass.",
-                    "2.3/3.2/5.6x vs ServerClass; 2.1/2.5/3.2x vs ScaleOut",
-                ],
-            ),
-        )
-    }
-
-    /// Figure 17: tail-to-average latency ratio, normalized to
-    /// ServerClass, averaged across the three loads, committed as
-    /// `results/fig17.txt`.
-    ///
-    /// Paper anchors: uManycore's ratio is 2.7x lower than ServerClass's
-    /// and 2.3x lower than ScaleOut's (absolute ServerClass ratios
-    /// 3.1-7.7).
-    pub fn fig17() -> Scenario {
-        normalized(
-            "fig17",
-            app_comparison(
-                Metric::TailToAvg,
-                BaselineUnit::Abs,
-                [
-                    "Figure 17",
-                    "Tail-to-average latency ratio normalized to ServerClass, averaged over\n\
-                     the three loads; absolute ServerClass ratios shown as annotations.",
-                    "2.7x and 2.3x; absolute ServerClass ratios 3.1-7.7",
-                ],
-            ),
-        )
-    }
-
-    /// Figure 19: tail latency of uManycore topologies (cores per village
-    /// x villages per cluster x clusters) at 15K RPS, normalized to the
-    /// default 8x4x32, committed as `results/fig19.txt`.
-    ///
-    /// Paper anchors: all configurations within ~15% of each other;
-    /// leaf-heavy services prefer larger villages, call-heavy services
-    /// prefer many small villages; the default has the lowest overall
-    /// tail.
-    pub fn fig19() -> Scenario {
-        normalized(
-            "fig19",
-            NormalizedSpec {
-                title: "Figure 19".to_string(),
-                caption: "Normalized tail latency across uManycore shapes at 15K RPS.".to_string(),
-                row_header: "app".to_string(),
-                paper: "all shapes within ~15%; default 8x4x32 lowest overall".to_string(),
-                metric: Metric::P99,
-                baseline_unit: None,
-                rows: app_rows(&[15_000.0]),
-                machines: TopologyShape::FIG19_SWEEP
-                    .iter()
-                    .map(|s| NamedMachine {
-                        name: s.label(),
-                        machine: MachineSpec {
-                            shape: Some([s.cores_per_village, s.villages_per_cluster, s.clusters]),
-                            ..MachineSpec::of(MachineBase::Umanycore)
-                        },
-                    })
-                    .collect(),
-            },
-        )
-    }
-
-    /// Figure 20: tail latency with synthetic exponential / lognormal /
-    /// bimodal service times (mean 100 us, 2-6 blocking RPCs), normalized
-    /// to ServerClass, committed as `results/fig20.txt`. Each
-    /// (distribution, load) pair is its own row and seed.
-    ///
-    /// Paper anchors: across loads and distributions uManycore reduces
-    /// the tail 9.1x over ServerClass and 7.2x over ScaleOut, growing
-    /// with load.
-    pub fn fig20() -> Scenario {
-        let lognormal = WorkloadSpec::Synthetic {
-            mean_us: SUITE_MEAN_US,
-            scv: 4.0,
-            min_rpcs: 2,
-            max_rpcs: 6,
-        };
-        let suite = [
-            ("Exp", WorkloadSpec::SyntheticExp),
-            ("Lgn", lognormal),
-            ("Bim", WorkloadSpec::SyntheticBimodal),
-        ];
-        normalized(
-            "fig20",
-            NormalizedSpec {
-                title: "Figure 20".to_string(),
-                caption: "Synthetic-workload tail latency normalized to ServerClass; absolute\n\
-                          ServerClass tails in us as annotations."
-                    .to_string(),
-                row_header: "workload".to_string(),
-                paper: "9.1x and 7.2x on average".to_string(),
-                metric: Metric::P99,
-                baseline_unit: Some(BaselineUnit::Us),
-                rows: suite
-                    .into_iter()
-                    .flat_map(|(dist, workload)| {
-                        LOADS.map(|rps| NamedWorkload {
-                            name: format!("{dist}{:.0}K", rps / 1000.0),
-                            workload,
-                            loads: vec![rps],
-                        })
-                    })
-                    .collect(),
-                machines: paper_machines(),
-            },
-        )
-    }
-
-    /// Where does request time go? The *measured* per-component latency
-    /// breakdown across the three paper machines, from the tracing
-    /// layer: every cycle of a root request's lifetime (its merged RPC
-    /// tree included) charged to exactly one component, with
-    /// conservation checked to the cycle. Committed as
-    /// `results/breakdown.txt`.
-    ///
-    /// Paper context: §3.2/Figure 3 (queueing), §4.4/Figure 6 (context
-    /// switching), §3.3/Table 1 (overhead sources). Components sum to
-    /// end-to-end latency exactly, so each row is a disjoint share of
-    /// the mean; a parent's blocked time is never counted on top of its
-    /// callees' lifetimes.
-    pub fn breakdown() -> Scenario {
-        entry(
-            "breakdown",
-            MachineSpec::of(MachineBase::Umanycore),
-            ScenarioKind::Breakdown {
-                rps: 10_000.0,
-                machines: vec![
-                    NamedMachine {
-                        name: "ServerClass-40".to_string(),
-                        machine: MachineSpec::of(MachineBase::ServerClassIsoPower),
-                    },
-                    NamedMachine {
-                        name: "ScaleOut".to_string(),
-                        machine: MachineSpec::of(MachineBase::Scaleout),
-                    },
-                    NamedMachine {
-                        name: "uManycore".to_string(),
-                        machine: MachineSpec::of(MachineBase::Umanycore),
-                    },
-                ],
-            },
-        )
-    }
-
-    /// Tail latency vs fault rate: the cost of losing messages, with and
-    /// without timeout/retry mitigation, committed as
-    /// `results/fault_tail.txt`.
-    ///
-    /// An unmitigated operation that loses a request or response leg
-    /// stalls until the default RPC timeout abandons it, so even
-    /// sub-percent loss rates poison the tail. Timeout +
-    /// exponential-backoff retry (with a retry budget) converts most
-    /// losses into one extra round trip.
-    pub fn fault_tail() -> Scenario {
-        entry(
-            "fault_tail",
-            MachineSpec::of(MachineBase::Umanycore),
-            ScenarioKind::FaultTail {
-                // Moderate utilization, so latency shifts are
-                // attributable to the faults, not to saturation.
-                rps: 8_000.0,
-                drop_rates: vec![0.0, 0.005, 0.01, 0.02, 0.05],
-                retry_timeout_us: 1_500.0,
-            },
-        )
-    }
-
-    /// Fleet tail latency by load-balancer routing policy: a rack of
-    /// uManycore packages behind one front end, committed as
-    /// `results/cluster_tail.txt`.
-    ///
-    /// The paper's single-package story (hardware queues, village-local
-    /// dispatch) meets the classic serving-layer question: with N
-    /// packages behind a load balancer, how much fleet tail does the
-    /// *routing policy* cost on top of the package itself? The sweep
-    /// compares random, round-robin, JSQ(2) (power-of-two-choices) and
-    /// an idealized central queue across offered loads, with every hop
-    /// through the rack fabric charged to the cluster-hop breakdown
-    /// component.
-    pub fn cluster_tail() -> Scenario {
-        let full = ClusterScale::full();
-        Scenario {
-            name: "cluster_tail".to_string(),
-            machine: MachineSpec {
-                shape: Some([8, 2, 4]),
-                // Deep RQs keep the sweep inside the regime where every
-                // request completes (see DESIGN.md, "Cluster layer").
-                rq_capacity: Some(512),
-                ..MachineSpec::of(MachineBase::Umanycore)
-            },
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale {
-                horizon_us: full.horizon_us,
-                warmup_us: full.warmup_us,
-                servers: 1,
-                seed: full.seed,
-            },
-            faults: Vec::new(),
-            mitigation: MitigationConfig::default(),
-            cluster: Some(ClusterSpec {
-                nodes: full.nodes,
-                // Display order is the committed-results row order.
-                routing: [
-                    ("random", RoutingPolicy::Random),
-                    ("round-robin", RoutingPolicy::RoundRobin),
-                    ("jsq(2)", RoutingPolicy::JsqD { d: 2 }),
-                    ("central-queue", RoutingPolicy::CentralQueue),
-                ]
-                .into_iter()
-                .map(|(name, policy)| NamedRouting {
-                    name: name.to_string(),
-                    policy,
-                })
-                .collect(),
-                max_in_flight: None,
-                jitter: Some(JitterSpec {
-                    mean_us: 0.5,
-                    scv: 4.0,
-                }),
-                steer: false,
-            }),
-            kind: ScenarioKind::ClusterTail { loads: full.loads },
-        }
-    }
-
-    /// The abstract's headline experiment: a cluster of 10 servers, each
-    /// with a 1024-core uManycore, against clusters of iso-power and
-    /// iso-area conventional multicores, committed as
-    /// `results/cluster10.txt`.
-    ///
-    /// Paper anchors: 3.7x lower average latency, 10.4x lower tail
-    /// latency, 15.5x higher throughput than the iso-power ServerClass
-    /// cluster (averages over the loads).
-    pub fn cluster10() -> Scenario {
-        let mut s = entry(
-            "cluster10",
-            MachineSpec::of(MachineBase::Umanycore),
-            ScenarioKind::MachineCompare {
-                loads: vec![5_000.0, 10_000.0, 15_000.0],
-                machines: vec![
-                    NamedMachine {
-                        name: "ServerClass-40".to_string(),
-                        machine: MachineSpec::of(MachineBase::ServerClassIsoPower),
-                    },
-                    NamedMachine {
-                        name: "ServerClass-128".to_string(),
-                        machine: MachineSpec::of(MachineBase::ServerClassIsoArea),
-                    },
-                    NamedMachine {
-                        name: "ScaleOut".to_string(),
-                        machine: MachineSpec::of(MachineBase::Scaleout),
-                    },
-                    NamedMachine {
-                        name: "uManycore".to_string(),
-                        machine: MachineSpec::of(MachineBase::Umanycore),
-                    },
-                ],
-            },
-        );
-        s.scale.servers = 10;
-        s
-    }
-
-    /// Autoscaling under bursts: the snapshot memory pool in the request
-    /// path, committed as `results/autoscale.txt`.
-    ///
-    /// §3.5/§4.1: when a burst overwhelms a service's village, the
-    /// system boots another instance elsewhere. With a snapshot in the
-    /// cluster pool the boot takes ~2 ms; without one it takes >300 ms —
-    /// during which the burst's requests pile up. This drives uManycore
-    /// with bursty (MMPP) arrivals and compares pool-backed and
-    /// cold-boot autoscaling against no autoscaling at all.
-    pub fn autoscale() -> Scenario {
-        entry(
-            "autoscale",
-            MachineSpec {
-                // Small RQs so bursts overflow a single instance.
-                rq_capacity: Some(8),
-                ..MachineSpec::of(MachineBase::Umanycore)
-            },
-            ScenarioKind::Autoscale {
-                rps: 160_000.0,
-                // The MMPP dwells ~220 ms low and ~30 ms bursting, so one
-                // scale unit (200 ms) samples roughly one burst cycle and
-                // the comparison would hinge on whether it happens to
-                // burst. Run 5x longer so every configuration sees
-                // several bursts regardless of the seed.
-                horizon_factor: 5.0,
-                configs: vec![
-                    AutoscaleConfig {
-                        name: "no autoscaling".to_string(),
-                        autoscale: false,
-                        pool: true,
-                    },
-                    AutoscaleConfig {
-                        name: "autoscale, cold boots".to_string(),
-                        autoscale: true,
-                        pool: false,
-                    },
-                    AutoscaleConfig {
-                        name: "autoscale + snapshot pool".to_string(),
-                        autoscale: true,
-                        pool: true,
-                    },
-                ],
-            },
-        )
-    }
-
-    /// Ablation: FCFS vs SRPT dequeue (paper §4.3), committed as
-    /// `results/ablation_srpt.txt`.
-    ///
-    /// The paper argues SRPT is unlikely to beat FCFS for microservices
-    /// because same-service requests have similar durations and frequent
-    /// I/O blocking already interleaves requests. This tests the claim on
-    /// the full system: the SocialNetwork mix (homogeneous per service)
-    /// and a heavy-tailed synthetic workload (where SRPT classically
-    /// shines).
-    pub fn ablation_srpt() -> Scenario {
-        entry(
-            "ablation_srpt",
-            MachineSpec::of(MachineBase::Umanycore),
-            ScenarioKind::SrptAblation {
-                workloads: vec![
-                    NamedWorkload {
-                        name: "SocialMix".to_string(),
-                        workload: WorkloadSpec::SocialMix,
-                        loads: vec![200_000.0, 1_200_000.0],
-                    },
-                    NamedWorkload {
-                        name: "HeavyTail".to_string(),
-                        workload: WorkloadSpec::Synthetic {
-                            mean_us: 400.0,
-                            scv: 9.0,
-                            min_rpcs: 2,
-                            max_rpcs: 6,
-                        },
-                        loads: vec![200_000.0, 1_000_000.0],
-                    },
-                ],
-            },
-        )
+    /// Looks a built-in scenario up by name, decoding only its document.
+    pub fn by_name(name: &str) -> Option<Scenario> {
+        DOCUMENTS
+            .iter()
+            .find(|&&(n, _)| n == name)
+            .map(|&(n, text)| decode(n, text))
     }
 
     /// The default `um-sweep` grid: 4 loads x 3 mitigation policies x 2
     /// seeds (24 points) on a uManycore under 1% message loss.
     pub fn sweep_default() -> Scenario {
-        Scenario {
-            name: "sweep_default".to_string(),
-            machine: MachineSpec::of(MachineBase::Umanycore),
-            workload: WorkloadSpec::SocialMix,
-            scale: Scale {
-                horizon_us: 60_000.0,
-                warmup_us: 6_000.0,
-                servers: 1,
-                seed: 42,
-            },
-            faults: vec![FaultRecipe::MessageDrops { probability: 0.01 }],
-            mitigation: MitigationConfig::default(),
-            cluster: None,
-            kind: ScenarioKind::Grid(GridSpec {
-                loads: vec![2_000.0, 5_000.0, 8_000.0, 11_000.0],
-                seeds: vec![42, 43],
-                nodes: Vec::new(),
-                policies: vec![
-                    NamedPolicy {
-                        name: "none".to_string(),
-                        mitigation: MitigationConfig::default(),
-                    },
-                    NamedPolicy {
-                        name: "retry".to_string(),
-                        mitigation: MitigationConfig {
-                            retry: Some(RetryConfig::with_timeout_us(1_500.0)),
-                            ..MitigationConfig::default()
-                        },
-                    },
-                    NamedPolicy {
-                        name: "hedge".to_string(),
-                        mitigation: MitigationConfig {
-                            hedge: Some(HedgeConfig::after_delay_us(150.0)),
-                            ..MitigationConfig::default()
-                        },
-                    },
-                ],
-            }),
-        }
-    }
-
-    /// Every built-in scenario, in display order.
-    pub fn all() -> Vec<Scenario> {
-        vec![
-            fig7(),
-            fig14(),
-            fig16(),
-            fig17(),
-            fig19(),
-            fig20(),
-            breakdown(),
-            fault_tail(),
-            cluster_tail(),
-            cluster10(),
-            autoscale(),
-            ablation_srpt(),
-            sweep_default(),
-        ]
-    }
-
-    /// Looks a built-in scenario up by name.
-    pub fn by_name(name: &str) -> Option<Scenario> {
-        all().into_iter().find(|s| s.name == name)
+        by_name("sweep_default").expect("the registry has sweep_default")
     }
 }
 
@@ -3020,13 +2543,24 @@ pub fn apply_scale_values(s: &mut Scenario, scale: Option<&str>, seed: Option<&s
 mod tests {
     use super::*;
 
+    /// The embedded documents are the whole registry: each decodes,
+    /// validates and expands, is stored in canonical form, and is listed
+    /// under its own `name`, once.
     #[test]
-    fn every_registry_scenario_validates() {
-        for s in registry::all() {
-            s.validate().unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            let points = s.expand().unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert!(!points.is_empty(), "{} expands to no points", s.name);
+    fn documents_are_the_registry() {
+        let mut names = std::collections::BTreeSet::new();
+        for (name, text) in registry::DOCUMENTS {
+            let s = Scenario::from_json_text(text).unwrap_or_else(|e| panic!("{name}.json: {e}"));
+            let points = s.expand().unwrap_or_else(|e| panic!("{name}.json: {e}"));
+            assert!(!points.is_empty(), "{name}.json expands to no points");
+            assert_eq!(s.to_json_text(), text, "{name}.json is not canonical");
+            assert_eq!(s.name, name, "{name}.json is listed under another name");
+            assert!(names.insert(name), "{name} is listed twice");
         }
+    }
+
+    fn named(name: &str) -> Scenario {
+        registry::by_name(name).unwrap_or_else(|| panic!("no registry scenario {name}"))
     }
 
     #[test]
@@ -3036,26 +2570,15 @@ mod tests {
     }
 
     #[test]
-    fn canonical_json_round_trips_byte_stably() {
-        for s in registry::all() {
-            let text = s.to_json_text();
-            let back =
-                Scenario::from_json_text(&text).unwrap_or_else(|e| panic!("{}: {e}", s.name));
-            assert_eq!(back, s, "{}", s.name);
-            assert_eq!(back.to_json_text(), text, "{}", s.name);
-        }
-    }
-
-    #[test]
     fn unknown_fields_are_rejected_with_their_path() {
-        let mut doc = registry::fig7().to_json();
+        let mut doc = named("fig7").to_json();
         if let Json::Obj(pairs) = &mut doc {
             pairs.push(("surprise".to_string(), Json::Num(1.0)));
         }
         let err = Scenario::from_json(&doc).expect_err("unknown field");
         assert!(err.contains("unknown field `surprise`"), "{err}");
 
-        let mut doc = registry::fig7().to_json();
+        let mut doc = named("fig7").to_json();
         if let Some(Json::Obj(pairs)) = doc.get("machine").cloned().as_mut() {
             pairs.push(("warp_factor".to_string(), Json::Num(9.0)));
             if let Json::Obj(top) = &mut doc {
@@ -3072,18 +2595,18 @@ mod tests {
 
     #[test]
     fn out_of_range_knobs_fail_validation_not_panic() {
-        let mut s = registry::fault_tail();
+        let mut s = named("fault_tail");
         if let ScenarioKind::FaultTail { drop_rates, .. } = &mut s.kind {
             drop_rates[1] = 1.5;
         }
         let err = s.validate().expect_err("bad drop rate");
         assert!(err.contains("drop_rates[1]"), "{err}");
 
-        let mut s = registry::fig7();
+        let mut s = named("fig7");
         s.scale.warmup_us = s.scale.horizon_us * 2.0;
         assert!(s.validate().is_err());
 
-        let mut s = registry::sweep_default();
+        let mut s = named("sweep_default");
         if let ScenarioKind::Grid(g) = &mut s.kind {
             g.policies[1].mitigation.retry = Some(RetryConfig {
                 backoff: 0.5,
@@ -3095,7 +2618,7 @@ mod tests {
 
         // An unknown app name fails on parse, a non-root service on
         // validation, both at the row's path.
-        let text = registry::fig14()
+        let text = named("fig14")
             .to_json_text()
             .replace("\"Text\"", "\"NoSuchApp\"");
         let err = Scenario::from_json_text(&text).expect_err("unknown app");
@@ -3103,25 +2626,25 @@ mod tests {
             err.contains("scenario.kind.rows[0].workload.app: unknown SocialNetwork app"),
             "{err}"
         );
-        let mut s = registry::fig19();
+        let mut s = named("fig19");
         normalized(&mut s).rows[0].workload = WorkloadSpec::SocialApp(SocialNetwork::REDIS);
         let err = s.validate().expect_err("a backend service as a root");
         assert!(err.contains("scenario.kind.rows[0].workload.app"), "{err}");
 
-        let mut s = registry::fig20();
+        let mut s = named("fig20");
         normalized(&mut s).machines.clear();
         let err = s.validate().expect_err("no machines");
         assert!(err.contains("scenario.kind.machines"), "{err}");
 
         for bad in [0.0, -5_000.0] {
-            let mut s = registry::fig14();
+            let mut s = named("fig14");
             normalized(&mut s).rows[2].loads[1] = bad;
             let err = s.validate().expect_err("non-positive load");
             assert!(err.contains("scenario.kind.rows[2].loads"), "{err}");
         }
 
         // Per-load sections need every row on the same loads.
-        let mut s = registry::fig16();
+        let mut s = named("fig16");
         normalized(&mut s).rows[3].loads.pop();
         let err = s.validate().expect_err("ragged per-load sections");
         assert!(err.contains("scenario.kind.rows[3].loads"), "{err}");
@@ -3129,7 +2652,7 @@ mod tests {
 
     #[test]
     fn base_faults_and_mitigation_reach_every_node_point() {
-        for mut s in [registry::fig7(), registry::breakdown(), registry::fig20()] {
+        for mut s in [named("fig7"), named("breakdown"), named("fig20")] {
             s.faults = vec![FaultRecipe::MessageDrops { probability: 0.01 }];
             s.mitigation.hedge = Some(HedgeConfig::after_delay_us(150.0));
             for p in s.expand().expect("valid scenario") {
@@ -3149,7 +2672,7 @@ mod tests {
 
     #[test]
     fn shallow_rq_cluster_without_admission_cap_is_refused() {
-        let mut s = registry::cluster_tail();
+        let mut s = named("cluster_tail");
         s.machine.rq_capacity = None; // default 64-entry RQ
         let err = s.validate().expect_err("deadlock-prone scenario");
         assert!(err.contains("max_in_flight"), "{err}");
@@ -3166,7 +2689,7 @@ mod tests {
 
     #[test]
     fn grid_expands_the_full_cross_product() {
-        let mut s = registry::sweep_default();
+        let mut s = named("sweep_default");
         apply_scale_values(&mut s, Some("quick"), Some("7"));
         assert_eq!(s.scale.seed, 7);
         let points = s.expand().expect("valid scenario");

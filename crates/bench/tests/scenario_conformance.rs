@@ -3,16 +3,20 @@
 //! keep their shapes at reduced scale, and unsafe or malformed requests
 //! must be refused before anything simulates.
 //!
-//! The registry is the only definition of its figures; CI byte-diffs a
-//! full-scale `um-sweep <name>` regeneration of each one against the
-//! committed `results/` file. Thread-identity runs use reduced horizons
-//! so the suite stays fast in debug builds; the determinism property
-//! being pinned does not depend on scale.
+//! The registry's JSON documents are the only definition of its
+//! figures; CI byte-diffs a full-scale `um-sweep <name>` regeneration of
+//! each one against the committed `results/` file. Thread-identity runs
+//! use reduced horizons so the suite stays fast in debug builds; the
+//! determinism property being pinned does not depend on scale.
 
 use um_bench::scenario::{self, registry, Scenario, ScenarioKind};
 use umanycore::experiments::cluster::ClusterScale;
 use umanycore::experiments::Scale;
 use umanycore::{ClusterSim, SystemSim};
+
+fn named(name: &str) -> Scenario {
+    registry::by_name(name).unwrap_or_else(|| panic!("no registry scenario {name}"))
+}
 
 /// Applies `UM_SCALE=quick` semantics without touching the environment
 /// (tests run in parallel; env mutation would race).
@@ -49,7 +53,7 @@ fn tiny(mut s: Scenario, horizon_us: f64) -> Scenario {
 
 #[test]
 fn fig7_text_is_bit_identical_across_thread_counts() {
-    let mut s = tiny(registry::fig7(), 5_000.0);
+    let mut s = tiny(named("fig7"), 5_000.0);
     if let ScenarioKind::Fig7 { loads } = &mut s.kind {
         loads.truncate(2);
     }
@@ -58,12 +62,12 @@ fn fig7_text_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn breakdown_text_is_bit_identical_across_thread_counts() {
-    assert_thread_identical(&tiny(registry::breakdown(), 5_000.0));
+    assert_thread_identical(&tiny(named("breakdown"), 5_000.0));
 }
 
 #[test]
 fn fault_tail_text_is_bit_identical_across_thread_counts() {
-    let mut s = tiny(registry::fault_tail(), 5_000.0);
+    let mut s = tiny(named("fault_tail"), 5_000.0);
     if let ScenarioKind::FaultTail { drop_rates, .. } = &mut s.kind {
         *drop_rates = vec![0.0, 0.02];
     }
@@ -72,7 +76,7 @@ fn fault_tail_text_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn cluster_tail_text_is_bit_identical_across_thread_counts() {
-    let mut s = tiny(registry::cluster_tail(), 2_000.0);
+    let mut s = tiny(named("cluster_tail"), 2_000.0);
     if let ScenarioKind::ClusterTail { loads } = &mut s.kind {
         *loads = vec![60_000.0];
     }
@@ -82,7 +86,7 @@ fn cluster_tail_text_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn cluster10_text_is_bit_identical_across_thread_counts() {
-    let mut s = tiny(registry::cluster10(), 5_000.0);
+    let mut s = tiny(named("cluster10"), 5_000.0);
     if let ScenarioKind::MachineCompare { loads, .. } = &mut s.kind {
         loads.truncate(1);
     }
@@ -92,12 +96,12 @@ fn cluster10_text_is_bit_identical_across_thread_counts() {
 #[test]
 fn autoscale_text_is_bit_identical_across_thread_counts() {
     // horizon_factor 5 stretches this to 10 ms of bursty arrivals.
-    assert_thread_identical(&tiny(registry::autoscale(), 2_000.0));
+    assert_thread_identical(&tiny(named("autoscale"), 2_000.0));
 }
 
 #[test]
 fn ablation_srpt_text_is_bit_identical_across_thread_counts() {
-    let mut s = tiny(registry::ablation_srpt(), 3_000.0);
+    let mut s = tiny(named("ablation_srpt"), 3_000.0);
     if let ScenarioKind::SrptAblation { workloads } = &mut s.kind {
         for w in workloads {
             w.loads.truncate(1);
@@ -109,11 +113,11 @@ fn ablation_srpt_text_is_bit_identical_across_thread_counts() {
 #[test]
 fn normalized_figures_are_bit_identical_across_thread_counts() {
     for s in [
-        registry::fig14(),
-        registry::fig16(),
-        registry::fig17(),
-        registry::fig19(),
-        registry::fig20(),
+        named("fig14"),
+        named("fig16"),
+        named("fig17"),
+        named("fig19"),
+        named("fig20"),
     ] {
         let mut s = tiny(s, 4_000.0);
         if let ScenarioKind::Normalized(n) = &mut s.kind {
@@ -131,7 +135,7 @@ fn normalized_figures_are_bit_identical_across_thread_counts() {
 
 #[test]
 fn sweep_grid_is_bit_identical_across_thread_counts() {
-    let mut s = tiny(registry::sweep_default(), 4_000.0);
+    let mut s = tiny(named("sweep_default"), 4_000.0);
     if let ScenarioKind::Grid(g) = &mut s.kind {
         g.loads = vec![2_000.0, 8_000.0];
         g.seeds = vec![42];
@@ -145,7 +149,7 @@ fn sweep_grid_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn fault_tail_points_fault_and_retry_where_expected() {
-    let mut s = registry::fault_tail();
+    let mut s = named("fault_tail");
     s.scale.horizon_us = 15_000.0;
     s.scale.warmup_us = 1_500.0;
     let points = s.expand().expect("registry scenarios are valid");
@@ -174,7 +178,7 @@ fn fault_tail_points_fault_and_retry_where_expected() {
 
 #[test]
 fn quick_cluster_tail_covers_the_policy_grid() {
-    let mut s = quick(registry::cluster_tail());
+    let mut s = quick(named("cluster_tail"));
     s.scale.horizon_us = 4_000.0;
     s.scale.warmup_us = 400.0;
     if let ScenarioKind::ClusterTail { loads } = &mut s.kind {
@@ -204,7 +208,7 @@ fn text_of(s: &Scenario) -> String {
 
 #[test]
 fn fault_tail_caption_states_the_offered_load() {
-    let mut s = tiny(registry::fault_tail(), 2_000.0);
+    let mut s = tiny(named("fault_tail"), 2_000.0);
     if let ScenarioKind::FaultTail {
         rps, drop_rates, ..
     } = &mut s.kind
@@ -218,7 +222,7 @@ fn fault_tail_caption_states_the_offered_load() {
 
 #[test]
 fn breakdown_caption_states_the_offered_load() {
-    let mut s = tiny(registry::breakdown(), 2_000.0);
+    let mut s = tiny(named("breakdown"), 2_000.0);
     if let ScenarioKind::Breakdown { rps, machines } = &mut s.kind {
         *rps = 5_000.0;
         machines.truncate(1);
@@ -229,7 +233,7 @@ fn breakdown_caption_states_the_offered_load() {
 
 #[test]
 fn autoscale_caption_states_the_rq_depth() {
-    let mut s = tiny(registry::autoscale(), 1_000.0);
+    let mut s = tiny(named("autoscale"), 1_000.0);
     s.machine.rq_capacity = Some(16);
     if let ScenarioKind::Autoscale { configs, .. } = &mut s.kind {
         configs.truncate(1);
@@ -240,7 +244,7 @@ fn autoscale_caption_states_the_rq_depth() {
 
 #[test]
 fn cluster_tail_caption_states_the_package_slice() {
-    let mut s = tiny(registry::cluster_tail(), 1_000.0);
+    let mut s = tiny(named("cluster_tail"), 1_000.0);
     s.machine.shape = Some([4, 2, 2]);
     if let ScenarioKind::ClusterTail { loads } = &mut s.kind {
         *loads = vec![10_000.0];
@@ -267,7 +271,7 @@ fn cluster_tail_caption_states_the_package_slice() {
 /// the configuration rather than let the sim wedge.
 #[test]
 fn shallow_rq_cluster_without_admission_cap_is_refused() {
-    let mut s = registry::cluster_tail();
+    let mut s = named("cluster_tail");
     s.machine.rq_capacity = None; // default 64-entry RQs
     let err = s
         .validate()
@@ -316,7 +320,7 @@ fn um_sweep_reports_bad_scenario_files_without_panicking() {
     let invalid = dir.join("um_sweep_missing_kind.json");
     std::fs::write(&invalid, r#"{"name":"x"}"#).expect("write scenario document");
     let duplicate = dir.join("um_sweep_duplicate_name.json");
-    let text = registry::fig7().to_json_text();
+    let text = named("fig7").to_json_text();
     let twice = text.replacen("\"name\"", "\"name\": \"first\", \"name\"", 1);
     std::fs::write(&duplicate, twice).expect("write scenario document");
     let missing = dir.join("um_sweep_no_such_scenario.json");
@@ -363,9 +367,9 @@ fn every_registry_scenario_expands_and_round_trips() {
 
 #[test]
 fn quick_scale_matches_the_experiment_layer_values() {
-    let s = quick(registry::fig7());
+    let s = quick(named("fig7"));
     assert_eq!(s.scale, Scale::quick());
-    let c = quick(registry::cluster_tail());
+    let c = quick(named("cluster_tail"));
     let q = ClusterScale::quick();
     assert_eq!(c.scale.horizon_us, q.horizon_us);
     assert_eq!(c.scale.warmup_us, q.warmup_us);

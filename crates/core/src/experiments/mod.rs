@@ -6,8 +6,9 @@
 //! them as tables, and the integration tests assert the paper's *shapes*
 //! (who wins, by roughly what factor, where crossovers fall) on reduced
 //! scales. The §6 machine comparisons (Figures 14, 16, 17, 19 and 20)
-//! are defined only in `um_bench::scenario::registry` and run with
-//! `um-sweep <name>`.
+//! are defined only by the scenario registry's JSON documents
+//! (`crates/bench/registry/`, embedded by `um_bench::scenario::registry`)
+//! and run with `um-sweep <name>`.
 
 pub mod cluster;
 pub mod evaluation;

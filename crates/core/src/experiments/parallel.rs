@@ -109,9 +109,11 @@ where
                 })
             })
             .collect();
+        // A point that panics re-raises its own payload, so a caller
+        // that catches it sees the same message as on the serial path.
         handles
             .into_iter()
-            .flat_map(|h| h.join().expect("sweep worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect()
     });
 
@@ -169,6 +171,21 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(map_with_threads(4, empty, |_, x| x).is_empty());
         assert_eq!(map_with_threads(4, vec![7], |_, x| x * 2), vec![14]);
+    }
+
+    #[test]
+    fn a_panicking_point_re_raises_its_own_payload() {
+        for n in [1, 2] {
+            let payload = std::panic::catch_unwind(|| {
+                map_with_threads(n, vec![1, 2], |_, x: u32| -> u32 {
+                    assert!(x != 2, "point two failed");
+                    x
+                })
+            })
+            .expect_err("the sweep panics");
+            let message = payload.downcast_ref::<&str>().copied();
+            assert_eq!(message, Some("point two failed"), "n={n}");
+        }
     }
 
     #[test]

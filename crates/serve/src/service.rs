@@ -14,7 +14,9 @@
 //! when their keys are byte-equal — and then the second is served from
 //! cache without re-simulating, byte-identical to the first.
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Condvar, Mutex};
@@ -80,10 +82,11 @@ pub enum JobStatus {
         /// Served from the result cache without re-simulating.
         cached: bool,
     },
-    /// The scenario failed validation at run time (never expected for
-    /// submissions, which validate on parse — kept for honesty).
+    /// The run failed: the scenario failed validation at run time (never
+    /// expected for submissions, which validate on parse), or the
+    /// simulation panicked.
     Failed {
-        /// The validation message.
+        /// The validation or panic message.
         error: String,
     },
 }
@@ -357,7 +360,7 @@ fn worker_loop(inner: &Arc<Inner>) {
 }
 
 fn run_job(inner: &Arc<Inner>, id: u64) {
-    let (scenario, total) = {
+    let scenario = {
         let mut jobs = inner.jobs.lock().expect("jobs lock");
         let job = jobs.get_mut(&id).expect("admitted job exists");
         let total = job
@@ -366,7 +369,7 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
             .map(|points| points.len())
             .unwrap_or(0);
         job.status = JobStatus::Running { done: 0, total };
-        (job.scenario.clone(), total)
+        job.scenario.clone()
     };
     let key = scenario.to_json_text();
     let on_progress = |done: usize, total_points: usize| {
@@ -385,7 +388,16 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
             }
         }
     };
-    let outcome = scenario::run_with_progress(&scenario, &on_progress);
+    // A document that passes validation can still panic in the engine
+    // (an allocation sized by the input, say). The job then fails with
+    // the panic's message and this worker keeps serving.
+    let outcome = panic::catch_unwind(|| scenario::run_with_progress(&scenario, &on_progress))
+        .unwrap_or_else(|payload| {
+            Err(format!(
+                "simulation panicked: {}",
+                panic_message(payload.as_ref())
+            ))
+        });
     let mut jobs = inner.jobs.lock().expect("jobs lock");
     let job = jobs.get_mut(&id).expect("admitted job exists");
     match outcome {
@@ -408,6 +420,14 @@ fn run_job(inner: &Arc<Inner>, id: u64) {
         }
     }
     drop(jobs);
-    let _ = total; // progress totals come from the runner's callback
     inner.changed.notify_all();
+}
+
+/// The text of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }

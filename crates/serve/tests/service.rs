@@ -5,8 +5,9 @@
 //! produces; repeat submissions are cache hits that skip re-simulation;
 //! a full admission queue answers 429 with a `Retry-After` hint;
 //! malformed submissions answer 400 with the scenario layer's field-path
-//! errors; an over-long request line answers 400 instead of hanging; and
-//! a client that sends nothing is answered 408 and closed.
+//! errors; a job whose simulation panics ends `failed` while its worker
+//! keeps serving; an over-long request line answers 400 instead of
+//! hanging; and a client that sends nothing is answered 408 and closed.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -23,7 +24,7 @@ use um_serve::service::{JobService, ServiceConfig, SubmitError};
 
 /// A one-point grid scenario small enough for 32 concurrent copies.
 fn tiny_scenario(seed: u64) -> scenario::Scenario {
-    let mut s = scenario::registry::sweep_default();
+    let mut s = scenario::registry::by_name("sweep_default").expect("registry scenario");
     s.scale.horizon_us = 3_000.0;
     s.scale.warmup_us = 300.0;
     if let ScenarioKind::Grid(g) = &mut s.kind {
@@ -91,6 +92,30 @@ fn poll_until_done(addr: std::net::SocketAddr, id: u64) {
             other => panic!("unexpected status {other:?}: {}", resp.body),
         }
         thread::yield_now();
+    }
+}
+
+/// Polls `/jobs/<id>` until the job leaves `queued`/`running` and
+/// returns its final status document. A job that has not finished
+/// within a minute fails the test instead of hanging it.
+fn poll_until_finished(addr: std::net::SocketAddr, id: u64) -> Json {
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let resp = get(addr, &format!("/jobs/{id}"));
+        assert_eq!(resp.status, 200, "status failed: {}", resp.body);
+        let doc = Json::parse(&resp.body).expect("status answers JSON");
+        if !matches!(
+            doc.get("status").and_then(Json::as_str),
+            Some("queued" | "running")
+        ) {
+            return doc;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "job {id} never finished: {}",
+            resp.body
+        );
+        thread::sleep(Duration::from_millis(10));
     }
 }
 
@@ -280,6 +305,33 @@ fn registry_and_healthz_answer() {
     assert_eq!(missing.status, 404);
     let not_ready = get(addr, "/nope");
     assert_eq!(not_ready.status, 404);
+}
+
+#[test]
+fn panicking_job_fails_and_the_worker_keeps_serving() {
+    let (addr, _service) = start(ServiceConfig {
+        workers: 1,
+        queue_depth: 4,
+        retry_after_secs: 1,
+    });
+    // Valid, but the engine sizes its event queue by the expected
+    // arrivals (1e18) and panics with a capacity overflow.
+    let mut s = tiny_scenario(1);
+    s.scale.horizon_us = 1e15;
+    if let ScenarioKind::Grid(g) = &mut s.kind {
+        g.loads = vec![1e9];
+    }
+    s.validate().expect("the document passes validation");
+    let id = submitted_id(&post(addr, "/jobs", &s.to_json_text()));
+    let doc = poll_until_finished(addr, id);
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("failed"));
+    let error = doc.get("error").and_then(Json::as_str).expect("error");
+    assert!(error.contains("capacity overflow"), "{error}");
+
+    // The only worker survived: the next job runs to completion.
+    let id = submitted_id(&post(addr, "/jobs", &tiny_scenario(2).to_json_text()));
+    let doc = poll_until_finished(addr, id);
+    assert_eq!(doc.get("status").and_then(Json::as_str), Some("done"));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! scales. These span every crate in the workspace.
 
 use um_arch::MachineConfig;
-use um_bench::scenario::{self, registry, Scenario, ScenarioKind};
+use um_bench::scenario::{self, registry, ScenarioKind};
 use um_workload::apps::SocialNetwork;
 use umanycore::experiments::{evaluation, motivation, parallel, Scale};
 use umanycore::{RunReport, SimConfig, SystemSim, Workload};
@@ -12,11 +12,12 @@ fn quick() -> Scale {
     Scale::quick()
 }
 
-/// Runs a normalized registry scenario at a 60 ms horizon with its rows
-/// cut to the named ones (all when `keep` is empty), each swept over
-/// `loads`. Returns one report per machine column for every (row, load)
-/// pair, in row-major order.
-fn normalized_reports(mut s: Scenario, keep: &[&str], loads: &[f64]) -> Vec<Vec<RunReport>> {
+/// Runs the named normalized registry scenario at a 60 ms horizon with
+/// its rows cut to those in `keep` (all when it is empty), each swept
+/// over `loads`. Returns one report per machine column for every
+/// (row, load) pair, in row-major order.
+fn normalized_reports(name: &str, keep: &[&str], loads: &[f64]) -> Vec<Vec<RunReport>> {
+    let mut s = registry::by_name(name).expect("registry scenario");
     s.scale.horizon_us = 60_000.0;
     s.scale.warmup_us = 6_000.0;
     let ScenarioKind::Normalized(n) = &mut s.kind else {
@@ -40,7 +41,7 @@ fn normalized_reports(mut s: Scenario, keep: &[&str], loads: &[f64]) -> Vec<Vec<
 /// every application, and the gap is large.
 #[test]
 fn umanycore_tail_dominates_every_app() {
-    let rows = normalized_reports(registry::fig14(), &[], &[10_000.0]);
+    let rows = normalized_reports("fig14", &[], &[10_000.0]);
     let apps = SocialNetwork::new();
     assert_eq!(rows.len(), SocialNetwork::ALL.len());
     for (&root, r) in SocialNetwork::ALL.iter().zip(&rows) {
@@ -58,7 +59,7 @@ fn umanycore_tail_dominates_every_app() {
 /// Figure 14/16: uManycore's advantage grows with load.
 #[test]
 fn umanycore_advantage_grows_with_load() {
-    let rows = normalized_reports(registry::fig14(), &["HomeT"], &[5_000.0, 15_000.0]);
+    let rows = normalized_reports("fig14", &["HomeT"], &[5_000.0, 15_000.0]);
     let at = |r: &[RunReport]| r[0].latency.p99 / r[2].latency.p99;
     let low = at(&rows[0]);
     let high = at(&rows[1]);
@@ -96,7 +97,7 @@ fn ablation_stages_are_cumulative() {
 /// the software baselines'.
 #[test]
 fn tail_to_average_is_tamed() {
-    let rows = normalized_reports(registry::fig17(), &["User"], &[10_000.0]);
+    let rows = normalized_reports("fig17", &["User"], &[10_000.0]);
     let (server_class, umanycore) = (&rows[0][0], &rows[0][2]);
     assert!(
         umanycore.tail_to_avg() < server_class.tail_to_avg(),
@@ -141,7 +142,7 @@ fn context_switch_crossover() {
 /// least as much as the fat tree.
 #[test]
 fn icn_contention_inflates_tails() {
-    let mut s = registry::fig7();
+    let mut s = registry::by_name("fig7").expect("registry scenario");
     scenario::apply_scale_values(&mut s, Some("quick"), None);
     s.scale.horizon_us = 40_000.0;
     s.scale.warmup_us = 4_000.0;
